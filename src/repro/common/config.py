@@ -261,11 +261,12 @@ class RunConfig:
     #: Audit bookkeeping/coherence invariants during the run.  Slows
     #: simulation; enabled by default in tests, disabled in benchmarks.
     audit: bool = False
-    #: Hot-loop backend name (``repro.kernels`` registry).  ``None``
-    #: defers to ``$REPRO_KERNEL`` and then to ``interp``; every
-    #: backend is byte-identical, so this is purely a speed knob.
+    #: Accepted for existing callers; ``interp`` is the only loop.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _require(self.kernel in (None, "interp"),
+                 f"unknown simulation kernel {self.kernel!r}; "
+                 "the only kernel is 'interp'")
         if self.max_commits is not None:
             _require(self.max_commits > 0, "max_commits must be positive")

@@ -1,123 +1,1 @@
-"""Pluggable simulation kernels (the executor's hot-loop backends).
-
-``interp`` is the reference dispatch loop; ``batch`` retires COMPUTE
-and granted-memory runs in bulk over precomputed columns; ``spec``
-generates straight-line source specialized to the frozen run
-configuration (optionally compiled natively).  All are byte-identical
-by contract (see :mod:`repro.kernels.base`).
-
-Selection precedence, resolved by :func:`resolve_kernel_name`:
-
-1. an explicit name (``Executor(kernel=...)``, ``--kernel``,
-   ``RunConfig.kernel``, ``CellSpec.kernel``);
-2. the ``REPRO_KERNEL`` environment variable;
-3. the default, ``interp``.
-
-The randomized cross-kernel differential harness lives in
-:mod:`repro.kernels.differential`; it is deliberately not re-exported
-here because it imports the experiment layer (import it directly).
-"""
-
-from __future__ import annotations
-
-import os
-from typing import Dict, List, Optional
-
-from repro.common.errors import ConfigError
-from repro.kernels.base import SimulationKernel
-from repro.kernels.batch import BatchKernel
-from repro.kernels.interp import InterpKernel
-from repro.kernels.spec import SpecKernel
-
-#: Name -> class registry; ``--kernel`` choices come from here.
-KERNELS = {
-    InterpKernel.name: InterpKernel,
-    BatchKernel.name: BatchKernel,
-    SpecKernel.name: SpecKernel,
-}
-
-#: Stable CLI/choices ordering (reference kernel first).
-KERNEL_NAMES = ("interp", "batch", "spec")
-
-DEFAULT_KERNEL = "interp"
-
-#: Environment override consulted when no explicit name is given.
-ENV_KERNEL = "REPRO_KERNEL"
-
-
-def resolve_kernel_name(name: Optional[str] = None) -> str:
-    """Resolve ``name`` -> a concrete registry key.
-
-    ``None`` falls back to ``$REPRO_KERNEL`` and then to
-    :data:`DEFAULT_KERNEL`; unknown names raise
-    :class:`~repro.common.errors.ConfigError` listing the registry.
-    """
-    if name is None:
-        name = os.environ.get(ENV_KERNEL) or DEFAULT_KERNEL
-    if name not in KERNELS:
-        raise ConfigError(
-            f"unknown simulation kernel {name!r}; "
-            f"available: {', '.join(KERNEL_NAMES)}"
-        )
-    return name
-
-
-def make_kernel(name: Optional[str] = None) -> SimulationKernel:
-    """Instantiate the kernel selected by ``name`` (see
-    :func:`resolve_kernel_name` for the fallback chain)."""
-    return KERNELS[resolve_kernel_name(name)]()
-
-
-def kernel_info() -> Dict:
-    """Registry + availability report backing ``repro kernels``.
-
-    Returns the selection state (default, ``$REPRO_KERNEL``, what an
-    unqualified run would pick) and one row per backend with the
-    capabilities that matter for it: numpy presence for the columnar
-    backends, the native toolchain for ``spec``.
-    """
-    from repro.common.vector import HAVE_NUMPY
-    from repro.kernels.native import native_backend, native_enabled
-
-    env = os.environ.get(ENV_KERNEL) or None
-    selected = resolve_kernel_name(None)
-    backend = native_backend()
-    rows: List[Dict] = []
-    for name in KERNEL_NAMES:
-        cls = KERNELS[name]
-        doc = (cls.__doc__ or "").strip().splitlines()
-        row: Dict = {
-            "name": name,
-            "class": cls.__name__,
-            "description": doc[0] if doc else "",
-            "default": name == DEFAULT_KERNEL,
-            "selected": name == selected,
-        }
-        if name in ("batch", "spec"):
-            row["numpy"] = HAVE_NUMPY
-        if name == "spec":
-            row["native"] = backend is not None
-            row["native_backend"] = backend
-            row["native_enabled"] = native_enabled()
-        rows.append(row)
-    return {
-        "default": DEFAULT_KERNEL,
-        "env": env,
-        "selected": selected,
-        "kernels": rows,
-    }
-
-
-__all__ = [
-    "SimulationKernel",
-    "InterpKernel",
-    "BatchKernel",
-    "SpecKernel",
-    "KERNELS",
-    "KERNEL_NAMES",
-    "DEFAULT_KERNEL",
-    "ENV_KERNEL",
-    "resolve_kernel_name",
-    "make_kernel",
-    "kernel_info",
-]
+"""The executor's hot loop (see :mod:`repro.kernels.interp`)."""

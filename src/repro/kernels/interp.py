@@ -1,35 +1,30 @@
-"""The reference kernel: the executor's original dispatch-table loop.
+"""The simulator's hot loop: the executor's dispatch-table interpreter.
 
-This is the pre-kernel ``Executor._run_quantum`` body, moved here
-essentially unchanged.  It stays the behavioural reference every
-other backend is checked against (the lockstep suite diffs RunStats,
-ProtocolStats and event streams between this kernel and the others),
-so keep it boring: any optimization belongs in a new backend, not
-here.
+The :class:`~repro.runtime.executor.Executor` owns all simulation
+*policy* (contention management, abort/retry, statistics); this loop
+owns only the *mechanism* — how one thread's ops are driven through
+the dispatch table for one scheduler quantum.  It is the only loop:
+it takes under a tenth of a cell's host time, so no faster loop can
+move a cell's wall by much (docs/performance.md, "One hot loop").
+The golden record in ``tests/runtime/test_golden.py`` pins its
+behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.kernels.base import SimulationKernel
 from repro.obs.events import AbortCause
 from repro.workloads.trace import OP_COMPUTE
 
 
-class InterpKernel(SimulationKernel):
+class InterpKernel:
     """Straight interpretation, one op per loop iteration."""
 
-    name = "interp"
-
-    def attach(self, executor) -> None:
-        super().attach(executor)
+    def __init__(self, executor) -> None:
         # Loop invariants hoisted once per run instead of per quantum.
         self._quantum = executor.quantum
         self._bus = executor._bus
         self._dispatch = executor._dispatch
         self._abort = executor._abort
-        self._quanta = 0
 
     def run_quantum(self, thread) -> None:
         """Interpret ops until the quantum expires or the thread yields.
@@ -44,7 +39,6 @@ class InterpKernel(SimulationKernel):
         skips the doom check (nothing can doom this thread while only
         it advances time).
         """
-        self._quanta += 1
         deadline = thread.clock + self._quantum
         bus = self._bus
         bus_enabled = bus.enabled
@@ -103,6 +97,3 @@ class InterpKernel(SimulationKernel):
                 return
         thread.clock = clock
         thread.pc = pc
-
-    def snapshot(self) -> Dict[str, int]:
-        return {"quanta": self._quanta}

@@ -53,7 +53,8 @@ from typing import Any, Dict, Optional
 #:    contract, but they must never share entries: a cross-kernel
 #:    verification run answered from the other backend's cache would
 #:    silently prove nothing.
-CACHE_SCHEMA = 5
+#: 6: CellSpec payload lost the ``kernel`` field (one hot loop).
+CACHE_SCHEMA = 6
 
 #: Default cache directory (overridable via the environment).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"

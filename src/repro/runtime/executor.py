@@ -24,7 +24,7 @@ from repro.common.errors import SimulationError
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.monitor import NULL_MONITOR
 from repro.htm.base import HTM, ConflictKind
-from repro.kernels import SimulationKernel, make_kernel
+from repro.kernels.interp import InterpKernel
 from repro.obs.events import AbortCause, EventBus, EventKind
 from repro.runtime.contention import Resolution, TimestampManager
 from repro.runtime.history import HistoryValidator
@@ -126,8 +126,7 @@ class Executor:
                  policy: Optional[TimestampManager] = None,
                  bus: Optional[EventBus] = None,
                  injector=None,
-                 monitor=None,
-                 kernel=None):
+                 monitor=None):
         if validate:
             validate_trace(trace)
         ncores = htm.mem.config.num_cores
@@ -197,22 +196,16 @@ class Executor:
         table[OP_SIGNAL] = self._signal
         table[OP_WAIT] = self._wait
         self._dispatch = table
-        # Hot-loop backend (repro.kernels).  ``kernel`` accepts a
-        # SimulationKernel instance or a registry name; None defers to
-        # RunConfig.kernel, then $REPRO_KERNEL, then "interp".  The
-        # kernel attaches last: it hoists the dispatch table and
-        # thread list built above.
-        if isinstance(kernel, SimulationKernel):
-            self._kernel = kernel
-        else:
-            self._kernel = make_kernel(
-                kernel if kernel is not None else config.kernel
-            )
-        self._kernel.attach(self)
+        # The hot loop (repro.kernels.interp) is built last: it hoists
+        # the dispatch table built above.
+        self._kernel = InterpKernel(self)
         # The scheduler loops dispatch through this bound method: the
         # kernel's directly when possible (saves a delegation frame on
         # every quantum), the overriding ``_run_quantum`` when a
         # subclass (perf/legacy.py A/B executors) replaced the loop.
+        # Bound per instance, so a wrapper installed on the
+        # ``InterpKernel.run_quantum`` class attribute before the
+        # executor is built sees every quantum.
         if type(self)._run_quantum is Executor._run_quantum:
             self._quantum_fn = self._kernel.run_quantum
         else:
@@ -332,9 +325,8 @@ class Executor:
     def _run_quantum(self, thread: _Thread) -> None:
         """Advance ``thread`` by at most one scheduler quantum.
 
-        The loop itself lives in the selected
-        :class:`~repro.kernels.base.SimulationKernel` backend
-        (``interp`` is the former inline body, verbatim).  Kept as a
+        The loop itself lives in
+        :class:`~repro.kernels.interp.InterpKernel`.  Kept as a
         plain method — not an attribute bound at init — so the A/B
         subclasses in :mod:`repro.perf.legacy` can still override it.
         """
@@ -358,25 +350,6 @@ class Executor:
     def quantum(self) -> int:
         """Scheduler quantum (the natural cross-thread clock skew)."""
         return self._quantum
-
-    @property
-    def kernel(self) -> str:
-        """Name of the active hot-loop backend."""
-        return self._kernel.name
-
-    @property
-    def kernel_source(self) -> Optional[str]:
-        """Generated source of a code-generating backend (``spec``),
-        ``None`` for the hand-written loops.  Embedded in chaos repro
-        bundles so a violation under a specialized kernel ships the
-        exact loop that ran."""
-        return getattr(self._kernel, "source", None)
-
-    def kernel_stats(self) -> Dict[str, int]:
-        """The backend's own telemetry (published as ``kernels.*``
-        metrics); strictly outside RunStats so every backend reports
-        byte-identical simulation results."""
-        return self._kernel.snapshot()
 
     def _quantum_boundary(self, thread: _Thread) -> None:
         """Drive the injector and monitor after one thread's quantum.

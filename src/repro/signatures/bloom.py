@@ -79,34 +79,6 @@ class BloomSignature(Signature):
                 return False
         return True
 
-    def test_many(self, block_addrs) -> list:
-        """Packed-bitset membership over a whole address column.
-
-        The banks fold into one wide integer (bank ``b`` occupying
-        bits ``[b * bank_bits, (b + 1) * bank_bits)``); each address
-        folds its cached per-bank probe indices into a mask the same
-        way.  Membership is then a single AND/compare per address —
-        big-int ops instead of a Python loop over banks — with results
-        identical to :meth:`test` by construction.
-        """
-        bank_bits = self._bank_bits
-        packed = 0
-        for b, bank in enumerate(self._banks):
-            packed |= bank << (b * bank_bits)
-        out = []
-        append = out.append
-        cache_get = self._index_cache.get
-        indices_fn = self._indices
-        for addr in block_addrs:
-            indices = cache_get(addr)
-            if indices is None:
-                indices = indices_fn(addr)
-            mask = 0
-            for b, index in enumerate(indices):
-                mask |= 1 << (b * bank_bits + index)
-            append(packed & mask == mask)
-        return out
-
     def clear(self) -> None:
         for bank in range(len(self._banks)):
             self._banks[bank] = 0

@@ -89,3 +89,7 @@ class TestRunConfig:
     def test_bad_max_commits_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(max_commits=0)
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig(kernel="bogus")

@@ -26,7 +26,7 @@ def test_run_work_outcome_roundtrip(tmp_path):
     with LandscapeStore(_db(tmp_path), metrics=registry) as store:
         rec = store.begin_run(
             "grid", label="test", git_rev="abc123", cache_schema=5,
-            kernel="interp", seed=7, provenance={"note": "roundtrip"})
+            seed=7, provenance={"note": "roundtrip"})
         rec.open("cell", "deadbeef", workload="Tiny", variant="TokenTM",
                  seed=7)
         rec.event("retry", "attempt 2", key=("cell", "deadbeef"))
@@ -39,7 +39,7 @@ def test_run_work_outcome_roundtrip(tmp_path):
         assert run["status"] == "ok"
         assert run["git_rev"] == "abc123"
         assert run["cache_schema"] == 5
-        assert run["kernel"] == "interp"
+        assert run["kernel"] is None  # column kept for old rows
         assert run["seed"] == 7
         assert run["healed"] == 0
         assert run["finished_unix"] >= run["started_unix"]
