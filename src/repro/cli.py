@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -522,9 +523,7 @@ def cmd_bench(args) -> int:
             workers=workers,
             workload_names=args.workloads, variants=args.variants,
             scale_factor=args.scale_factor, cache_dir=args.cache_dir,
-            compare_serial=args.compare_serial, micro=not args.no_micro,
-            micro_rounds=args.micro_rounds,
-            membench=not args.no_membench,
+            compare_serial=args.compare_serial,
             fast_path=not args.no_fastpath,
             traces=not args.no_traces,
             only=args.only,
@@ -791,6 +790,23 @@ def _add_trace_file_flags(p: argparse.ArgumentParser) -> None:
                         "turning them into transactions")
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for a fractional speedup-drop tolerance.
+
+    Must be finite and in ``[0, 1)``: ``nan`` would switch the gate
+    off (``drop > nan`` is never true) and a negative value would fail
+    every run, even a faster one.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and 0.0 <= value < 1.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite fraction in [0, 1), got {text!r}")
+    return value
+
+
 def _add_supervision_flags(p: argparse.ArgumentParser) -> None:
     """Grid-supervision flags shared by figure1/figure5/bench."""
     p.add_argument("--cell-timeout", type=float, default=None,
@@ -1012,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
                "the comparison — it never fails the run.")
     bench_p.add_argument("--out", metavar="FILE", default="BENCH_perf.json")
     bench_p.add_argument("--quick", action="store_true",
-                         help="small CI-sized grid and microbenchmark")
+                         help="small CI-sized grid")
     bench_p.add_argument("--seed", type=int, default=2008)
     bench_p.add_argument("--workers", type=int, default=0,
                          help="worker processes (0 = inline, "
@@ -1027,11 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--compare-serial", action="store_true",
                          help="also time the grid serially and check "
                               "parallel results are identical")
-    bench_p.add_argument("--no-micro", action="store_true",
-                         help="skip the interpreter microbenchmark")
-    bench_p.add_argument("--micro-rounds", type=int, default=3)
-    bench_p.add_argument("--no-membench", action="store_true",
-                         help="skip the memory-stack microbenchmark")
     bench_p.add_argument("--no-fastpath", action="store_true",
                          help="run the grid with the access filters "
                               "disabled (results are identical)")
@@ -1049,7 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "The special value 'landscape' resolves "
                               "the newest trusted run from the "
                               "--landscape store instead of a file")
-    bench_p.add_argument("--regression-tolerance", type=float, default=0.3,
+    bench_p.add_argument("--regression-tolerance", type=_tolerance,
+                         default=0.3,
                          help="allowed fractional speedup drop vs the "
                               "baseline (default 0.3)")
     bench_p.add_argument("--landscape", metavar="DB", default=None,
@@ -1095,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
     query_p.add_argument("db", nargs="?", default="landscape.db",
                          help="landscape store to read "
                               "(default: landscape.db)")
-    query_p.add_argument("--tolerance", type=float, default=0.3,
+    query_p.add_argument("--tolerance", type=_tolerance, default=0.3,
                          help="allowed fractional speedup drop between "
                               "the two newest trusted runs "
                               "(default 0.3)")

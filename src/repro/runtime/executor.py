@@ -197,19 +197,11 @@ class Executor:
         table[OP_WAIT] = self._wait
         self._dispatch = table
         # The hot loop (repro.kernels.interp) is built last: it hoists
-        # the dispatch table built above.
+        # the dispatch table built above.  The scheduler loops look up
+        # its bound ``run_quantum`` when they start, so a wrapper
+        # installed on the ``InterpKernel.run_quantum`` class attribute
+        # before the run sees every quantum.
         self._kernel = InterpKernel(self)
-        # The scheduler loops dispatch through this bound method: the
-        # kernel's directly when possible (saves a delegation frame on
-        # every quantum), the overriding ``_run_quantum`` when a
-        # subclass (perf/legacy.py A/B executors) replaced the loop.
-        # Bound per instance, so a wrapper installed on the
-        # ``InterpKernel.run_quantum`` class attribute before the
-        # executor is built sees every quantum.
-        if type(self)._run_quantum is Executor._run_quantum:
-            self._quantum_fn = self._kernel.run_quantum
-        else:
-            self._quantum_fn = self._run_quantum
 
     # ------------------------------------------------------------------
 
@@ -238,7 +230,7 @@ class Executor:
     def _run_dedicated(self) -> None:
         """One thread per core: min-clock quantum interleaving."""
         faults_on = self._injector.enabled or self._monitor.enabled
-        run_quantum = self._quantum_fn
+        run_quantum = self._kernel.run_quantum
         by_tid = self._by_tid
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -268,6 +260,7 @@ class Executor:
         lat = self._htm.mem.config.latency
         ncores = self._htm.mem.config.num_cores
         faults_on = self._injector.enabled or self._monitor.enabled
+        run_quantum = self._kernel.run_quantum
         core_free = [0] * ncores
         core_thread: List[Optional[int]] = [None] * ncores
         # Min-heap of (free_at, core) so finding the earliest-free core
@@ -310,7 +303,6 @@ class Executor:
             thread.clock = start
             thread.core = core
             deadline = thread.clock + self._timeslice
-            run_quantum = self._quantum_fn
             while not thread.done and thread.clock < deadline:
                 run_quantum(thread)
                 if faults_on:
@@ -319,18 +311,6 @@ class Executor:
             heapq.heappush(free_heap, (thread.clock, core))
             if not thread.done:
                 heapq.heappush(heap, (thread.clock, thread.tid))
-
-    # ------------------------------------------------------------------
-
-    def _run_quantum(self, thread: _Thread) -> None:
-        """Advance ``thread`` by at most one scheduler quantum.
-
-        The loop itself lives in
-        :class:`~repro.kernels.interp.InterpKernel`.  Kept as a
-        plain method — not an attribute bound at init — so the A/B
-        subclasses in :mod:`repro.perf.legacy` can still override it.
-        """
-        self._kernel.run_quantum(thread)
 
     # ------------------------------------------------------------------
     # Fault injection & invariant monitoring (repro.faults)

@@ -10,13 +10,21 @@ from repro.landscape import LandscapeStore
 from repro.perf.bench import BENCH_SCHEMA
 
 
-def _bench_store(db, speedups):
-    """A store holding one trusted bench run per speedups dict."""
+def _bench_store(db, speedups, schema9=False):
+    """A store holding one trusted bench run per membench speedup.
+
+    ``schema9`` records the runs at /9 instead, each also carrying a
+    ``microbench`` ratio that collapses from run to run: that section
+    was retired at /10 and must be neither reported nor gated.
+    """
+    schema = "repro-bench-perf/9" if schema9 else BENCH_SCHEMA
     with LandscapeStore(db) as store:
-        for micro in speedups:
-            rec = store.begin_run("bench", bench_schema=BENCH_SCHEMA)
-            rec.finish("ok", payload={"schema": BENCH_SCHEMA,
-                                      "microbench": {"speedup": micro}})
+        for i, mem in enumerate(speedups):
+            payload = {"schema": schema, "membench": {"speedup": mem}}
+            if schema9:
+                payload["microbench"] = {"speedup": 3.0 / (10 ** i)}
+            rec = store.begin_run("bench", bench_schema=schema)
+            rec.finish("ok", payload=payload)
 
 
 class TestAudit:
@@ -95,13 +103,15 @@ class TestQuery:
     def test_json_report(self, tmp_path, capsys):
         import json
 
-        db = tmp_path / "db"
-        _bench_store(db, [2.0, 1.9])
-        assert main(["query", str(db), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["points"]) == 2
-        assert doc["deltas"]["microbench"] == [2.0, 1.9]
-        assert doc["regressions"] == []
+        for schema9 in (False, True):
+            db = tmp_path / f"db{int(schema9)}"
+            _bench_store(db, [2.0, 1.9], schema9=schema9)
+            assert main(["query", str(db), "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert [p["speedups"] for p in doc["points"]] == \
+                [{"membench": 2.0}, {"membench": 1.9}]
+            assert doc["deltas"] == {"membench": [2.0, 1.9]}
+            assert doc["regressions"] == []
 
 
 class TestBaselineLandscape:

@@ -1,57 +1,23 @@
-"""The bench harness: legacy-loop fidelity and the JSON artifact."""
+"""The bench harness and its JSON artifact."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from repro.common.config import HTMConfig, RunConfig, SystemConfig
-from repro.coherence.protocol import MemorySystem
-from repro.htm import make_htm
+import pytest
+
 from repro.perf.bench import (
     BENCH_SCHEMA,
     bench_specs,
     check_regression,
     load_bench,
     membench,
-    micro_trace,
     run_bench,
 )
 from repro.perf.cache import cell_key
-from repro.perf.legacy import LegacyExecutor
-from repro.runtime.executor import Executor
-from repro.workloads.base import SyntheticTxnWorkload
 
-from tests.perf.conftest import TINY_SPEC
-
-
-def _run(executor_cls, trace, seed=0):
-    system = SystemConfig()
-    htm_cfg = HTMConfig()
-    machine = make_htm("TokenTM", MemorySystem(system), htm_cfg)
-    executor = executor_cls(
-        machine, trace, RunConfig(system=system, htm=htm_cfg, seed=seed),
-        validate=False, track_history=False,
-    )
-    return executor.run().stats
-
-
-def test_micro_trace_is_conflict_free():
-    stats = _run(Executor, micro_trace(txns=8))
-    assert stats.aborts == 0
-    assert stats.commits == 4 * 8
-
-
-def test_legacy_loop_matches_optimized_on_micro_trace():
-    trace = micro_trace(txns=8)
-    assert _run(LegacyExecutor, trace).snapshot() == \
-        _run(Executor, trace).snapshot()
-
-
-def test_legacy_loop_matches_optimized_on_contended_trace():
-    """The faithful pre-PR loop agrees even through aborts/retries."""
-    trace = SyntheticTxnWorkload(TINY_SPEC).generate(seed=11, scale=1.0)
-    assert _run(LegacyExecutor, trace, seed=11).snapshot() == \
-        _run(Executor, trace, seed=11).snapshot()
+DATA = Path(__file__).parent / "data"
 
 
 def test_bench_specs_quick_subset():
@@ -74,7 +40,7 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     payload = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), micro=False, membench=False,
+        cache_dir=str(tmp_path / "cache"), only=["grid"],
     )
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
@@ -94,27 +60,13 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     rerun = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), micro=False, membench=False,
+        cache_dir=str(tmp_path / "cache"), only=["grid"],
     )
     warm = rerun["grid"]["cells"][0]
     assert warm["cache_hit"] is True
     assert warm["wall_seconds"] is None
     assert warm["makespan"] == cell["makespan"]
     assert rerun["metrics"]["perf.cache_hits"]["value"] == 1
-
-
-def test_run_bench_micro_section(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    payload = run_bench(
-        out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.25, micro=True,
-        micro_rounds=1, membench=False,
-    )
-    micro = payload["microbench"]
-    assert micro["trace_ops"] > 0
-    assert micro["legacy_ops_per_sec"] > 0
-    assert micro["optimized_ops_per_sec"] > 0
-    assert micro["speedup"] > 0
 
 
 def test_bench_specs_fast_path_changes_cache_key():
@@ -143,8 +95,7 @@ def test_run_bench_membench_section(tmp_path):
     out = tmp_path / "BENCH_perf.json"
     payload = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
-        variants=("TokenTM",), scale_factor=0.25, micro=False,
-        micro_rounds=1, membench=True,
+        variants=("TokenTM",), scale_factor=0.25,
     )
     mem = payload["membench"]
     assert mem["identical_stats"] is True
@@ -159,34 +110,30 @@ def test_run_bench_membench_section(tmp_path):
 def test_run_bench_only_sections(tmp_path):
     out = tmp_path / "BENCH_perf.json"
     payload = run_bench(
-        out=str(out), quick=True, only=["membench"], micro_rounds=1,
+        out=str(out), quick=True, only=["membench"],
     )
     assert payload["grid"] is None
     assert payload["totals"] is None
     assert payload["config"]["scales"] is None
-    assert payload["microbench"] is None
-    assert payload["faultbench"] is None
     assert payload["membench"]["identical_stats"] is True
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
     # The skipped sections warn (not fail) against a full baseline.
     from repro.perf.bench import baseline_warnings
 
-    baseline = {"schema": BENCH_SCHEMA,
-                "microbench": {"speedup": 2.0},
-                "membench": {"speedup": 1.6}}
-    assert check_regression(payload, baseline) == []
-    warnings = baseline_warnings(payload, baseline)
-    assert any("microbench" in w for w in warnings)
-    assert not any("membench" in w for w in warnings)
+    grid_only = dict(payload, membench=None)
+    assert check_regression(grid_only, payload) == []
+    warnings = baseline_warnings(grid_only, payload)
+    assert any("'membench' present in the baseline but not this run" in w
+               for w in warnings)
 
 
 def test_run_bench_only_rejects_unknown_section(tmp_path):
-    import pytest
-
     from repro.common.errors import ConfigError
 
-    with pytest.raises(ConfigError, match="grid"):
+    # ``microbench`` was a section until schema /10.
+    with pytest.raises(ConfigError, match="gird, microbench; "
+                                          "available: grid, membench"):
         run_bench(out=str(tmp_path / "b.json"), quick=True,
                   only=["microbench", "gird"])
 
@@ -196,7 +143,6 @@ def test_format_bench_summary_handles_skipped_grid(tmp_path):
 
     payload = run_bench(
         out=str(tmp_path / "b.json"), quick=True, only=["membench"],
-        micro_rounds=1,
     )
     summary = format_bench_summary(payload)
     assert "grid: skipped" in summary
@@ -210,14 +156,13 @@ def test_bench_payload_has_no_wall_clock_identity(tmp_path):
     (docs/performance.md)."""
     payload = run_bench(
         out=str(tmp_path / "b.json"), quick=True, only=["membench"],
-        micro_rounds=1,
     )
     assert "unix_time" not in payload
-    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/9"
-    # Schema /9 dropped the kernel-backend section and config key.
+    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/10"
+    # Schema /9 dropped the kernel-backend section and config key;
+    # /10 dropped the frozen-loop microbench and faultbench sections.
     assert set(payload) == {"schema", "python", "config", "grid",
-                            "totals", "microbench", "membench",
-                            "faultbench", "parallel", "metrics"}
+                            "totals", "membench", "parallel", "metrics"}
     assert set(payload["config"]) == {"seed", "workers", "quick",
                                       "fast_path", "cache_dir",
                                       "scales", "traces"}
@@ -245,7 +190,7 @@ def test_load_baseline_invalid_json_is_soft(tmp_path):
     from repro.perf.bench import load_baseline
 
     path = tmp_path / "bad.json"
-    path.write_text('{"schema": "repro-bench-perf/8", "microbench"')
+    path.write_text('{"schema": "repro-bench-perf/8", "membench"')
     payload, problem = load_baseline(str(path))
     assert payload is None
     assert "not valid JSON" in problem
@@ -264,7 +209,7 @@ def test_load_baseline_non_object_is_soft(tmp_path):
 def test_load_baseline_good_file_round_trips(tmp_path):
     from repro.perf.bench import load_baseline
 
-    base = {"schema": BENCH_SCHEMA, "microbench": {"speedup": 2.0}}
+    base = {"schema": BENCH_SCHEMA, "membench": {"speedup": 2.0}}
     path = tmp_path / "BENCH_perf.json"
     path.write_text(json.dumps(base))
     payload, problem = load_baseline(str(path))
@@ -273,34 +218,59 @@ def test_load_baseline_good_file_round_trips(tmp_path):
 
 
 def test_check_regression_compares_ratios(tmp_path):
-    base = {"microbench": {"speedup": 2.0}, "membench": {"speedup": 1.6}}
-    ok = {"microbench": {"speedup": 1.8}, "membench": {"speedup": 1.5}}
-    bad = {"microbench": {"speedup": 2.1}, "membench": {"speedup": 1.0}}
+    base = {"membench": {"speedup": 1.6}}
+    ok = {"membench": {"speedup": 1.5}}
+    bad = {"membench": {"speedup": 1.0}}
     assert check_regression(ok, base, tolerance=0.3) == []
     failures = check_regression(bad, base, tolerance=0.3)
     assert len(failures) == 1 and "membench" in failures[0]
-    # Absent sections (e.g. --no-membench) are skipped, not failed.
-    assert check_regression({"microbench": None}, base) == []
+    # Absent sections (e.g. --only grid) are skipped, not failed.
+    assert check_regression({"membench": None}, base) == []
+    # A ratio of a section retired at /10 is never compared.
+    assert check_regression({"microbench": {"speedup": 0.1}, **ok},
+                            {"microbench": {"speedup": 2.0}, **base}) == []
     path = tmp_path / "BENCH_perf.json"
     path.write_text(json.dumps(base))
     assert load_bench(str(path)) == base
 
 
-def test_cli_baseline_against_schema8_file_warns(tmp_path, capsys):
-    """A baseline written before ``kernelbench`` was dropped (schema
-    /8, with ``kernelbench``/``config.kernel``/``kernels.*``) still
-    compares: exit 0 with a schema-mismatch warning.  The tolerance is
-    wide open because this checks schema handling, not speed."""
-    from pathlib import Path
-
+@pytest.mark.parametrize("schema", [8, 9])
+def test_cli_baseline_against_schema8_file_warns(tmp_path, capsys, schema):
+    """Older baselines still compare: exit 0 with a schema-mismatch
+    warning.  /8 carries ``kernelbench``/``config.kernel``/``kernels.*``;
+    both carry the ``microbench`` section retired at /10, whose ratio
+    is ignored.  The tolerance is wide open because this checks schema
+    handling, not speed."""
     from repro.cli import main
 
-    old = Path(__file__).parent / "data" / "BENCH_perf_schema8.json"
-    assert json.loads(old.read_text())["schema"] == "repro-bench-perf/8"
-    rc = main(["bench", "--only", "membench", "--micro-rounds", "1",
+    old = DATA / f"BENCH_perf_schema{schema}.json"
+    assert json.loads(old.read_text())["schema"] == \
+        f"repro-bench-perf/{schema}"
+    rc = main(["bench", "--only", "membench",
                "--out", str(tmp_path / "b.json"),
                "--baseline", str(old), "--regression-tolerance", "0.99"])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 0
-    assert "schema mismatch" in err
-    assert "repro-bench-perf/8" in err
+    assert "schema mismatch" in captured.err
+    assert f"repro-bench-perf/{schema}" in captured.err
+    assert "microbench" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("verb", [
+    ["bench", "--only", "membench", "--regression-tolerance"],
+    ["query", "--tolerance"],
+], ids=["bench", "query"])
+@pytest.mark.parametrize("value", ["nan", "-0.1"])
+def test_cli_rejects_bad_tolerance(tmp_path, capsys, verb, value):
+    """``nan`` would disable the gate, a negative tolerance would fail
+    every run; both are usage errors before anything runs."""
+    from repro.cli import main
+
+    out = tmp_path / "b.json"
+    target = ["--out", str(out)] if verb[0] == "bench" \
+        else [str(tmp_path / "db")]
+    with pytest.raises(SystemExit) as exc:
+        main(verb + [value] + target)
+    assert exc.value.code == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not out.exists()
