@@ -30,7 +30,8 @@ amount to, and preserves the false-positive dynamics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.config import HTMConfig, SignatureConfig
 from repro.common.errors import TransactionError
@@ -45,7 +46,7 @@ from repro.htm.base import (
     HTM,
 )
 from repro.signatures import Signature, make_signature
-from repro.signatures.bloom import BloomSignature
+from repro.signatures.bloom import BlockMasks, BloomSignature
 from repro.signatures.h3 import make_h3_family
 
 
@@ -63,6 +64,120 @@ class _SigTxn:
         self.write_sig = write_sig
         self.read_set: Set[int] = set()
         self.write_set: Set[int] = set()
+
+
+class _BloomSummary:
+    """OR of the live transactions' read (write) signature bits.
+
+    No live signature holds a bit its union lacks, so a block whose
+    mask is not inside the write (read) union tests negative in every
+    live write (read) signature: a clear miss needs no walk.
+    """
+
+    __slots__ = ("read_masks", "write_masks", "read", "write")
+
+    def __init__(self, read_masks: BlockMasks, write_masks: BlockMasks):
+        self.read_masks = read_masks
+        self.write_masks = write_masks
+        self.read = 0
+        self.write = 0
+
+    def add_read(self, block: int) -> None:
+        self.read |= self.read_masks[block]
+
+    def add_write(self, block: int) -> None:
+        self.write |= self.write_masks[block]
+
+    def drop(self, txn: _SigTxn, live: Iterable[_SigTxn]) -> None:
+        """``txn`` has ended: rebuild the unions from ``live``."""
+        read = write = 0
+        for other in live:
+            read |= other.read_sig.bits
+            write |= other.write_sig.bits
+        self.read = read
+        self.write = write
+
+    def may_conflict(self, own: Optional[_SigTxn], block: int,
+                     is_write: bool) -> bool:
+        write = self.write
+        if write:
+            mask = self.write_masks[block]
+            if write & mask == mask:
+                return True
+        read = self.read
+        if is_write and read:
+            mask = self.read_masks[block]
+            return read & mask == mask
+        return False
+
+    def audit(self, live: Iterable[_SigTxn]) -> Optional[str]:
+        for txn in live:
+            if txn.read_sig.bits & ~self.read:
+                return f"txn {txn.tid} read signature not inside the summary"
+            if txn.write_sig.bits & ~self.write:
+                return f"txn {txn.tid} write signature not inside the summary"
+        return None
+
+
+class _ExactSummary:
+    """Live transactions per block of the read (write) sets.
+
+    The requester's own membership is subtracted, so a zero count is
+    exactly "no other transaction holds the block".
+    """
+
+    __slots__ = ("readers", "writers")
+
+    def __init__(self) -> None:
+        self.readers: Dict[int, int] = {}
+        self.writers: Dict[int, int] = {}
+
+    def add_read(self, block: int) -> None:
+        readers = self.readers
+        readers[block] = readers.get(block, 0) + 1
+
+    def add_write(self, block: int) -> None:
+        writers = self.writers
+        writers[block] = writers.get(block, 0) + 1
+
+    def drop(self, txn: _SigTxn, live: Iterable[_SigTxn]) -> None:
+        """``txn`` has ended: take its sets out of the counts."""
+        for counts, blocks in ((self.readers, txn.read_set),
+                               (self.writers, txn.write_set)):
+            for block in blocks:
+                left = counts[block] - 1
+                if left:
+                    counts[block] = left
+                else:
+                    del counts[block]
+
+    def may_conflict(self, own: Optional[_SigTxn], block: int,
+                     is_write: bool) -> bool:
+        writers = self.writers.get(block, 0)
+        if writers and own is not None and block in own.write_set:
+            writers -= 1
+        if writers:
+            return True
+        if not is_write:
+            return False
+        readers = self.readers.get(block, 0)
+        if readers and own is not None and block in own.read_set:
+            readers -= 1
+        return readers > 0
+
+    def audit(self, live: Iterable[_SigTxn]) -> Optional[str]:
+        readers: Dict[int, int] = {}
+        writers: Dict[int, int] = {}
+        for txn in live:
+            for counts, blocks in ((readers, txn.read_set),
+                                   (writers, txn.write_set)):
+                for block in blocks:
+                    counts[block] = counts.get(block, 0) + 1
+        if readers != self.readers:
+            return "read-set summary counts differ from a recount"
+        if writers != self.writers:
+            return "write-set summary counts differ from a recount"
+        return None
 
 
 class LogTMSE(HTM):
@@ -89,30 +204,28 @@ class LogTMSE(HTM):
         self._sig_seed = 0
         # All transactions share one H3 family per set kind (as the
         # hardware does: the hash wiring is fixed at design time), so
-        # hash results can be cached per block across the whole run.
-        self._families = None
-        self._caches = None
-        if not self._sig_config.perfect:
-            import math as _math
-
+        # block masks are memoized per machine, one map per kind.
+        self._masks: Optional[Tuple[BlockMasks, BlockMasks]] = None
+        if self._sig_config.perfect:
+            self._summary = _ExactSummary()
+        else:
             bank_bits = self._sig_config.bits // self._sig_config.num_hashes
-            index_bits = int(_math.log2(bank_bits))
-            self._families = (
-                make_h3_family(self._sig_config.num_hashes, index_bits,
-                               seed=self._sig_seed),
-                make_h3_family(self._sig_config.num_hashes, index_bits,
-                               seed=self._sig_seed + 1),
+            index_bits = int(math.log2(bank_bits))
+            self._masks = tuple(
+                BlockMasks(make_h3_family(self._sig_config.num_hashes,
+                                          index_bits,
+                                          seed=self._sig_seed + kind),
+                           bank_bits)
+                for kind in (0, 1)
             )
-            self._caches = ({}, {})
+            self._summary = _BloomSummary(*self._masks)
 
     def _new_signature(self, kind: int) -> Signature:
         """Fresh signature over the machine-wide hash family."""
-        if self._sig_config.perfect or self._families is None:
+        if self._masks is None:
             return make_signature(self._sig_config,
                                   seed=self._sig_seed + kind)
-        return BloomSignature(self._sig_config,
-                              hashes=self._families[kind],
-                              index_cache=self._caches[kind])
+        return BloomSignature(self._sig_config, masks=self._masks[kind])
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -146,7 +259,12 @@ class LogTMSE(HTM):
 
         A load conflicts with remote write signatures; a store with
         remote read *and* write signatures.  Returns None when clear.
+        The machine-wide summary answers a clear miss without probing
+        any remote signature; only a summary hit walks them.
         """
+        if not self._summary.may_conflict(self._txns.get(tid), block,
+                                          is_write):
+            return None
         writer_hits: List[int] = []
         reader_hits: List[int] = []
         any_real = False
@@ -211,8 +329,7 @@ class LogTMSE(HTM):
                 self.mem.fast_hit(core, entry, False)
                 self.mem.fastpath.htm_read_hits += 1
                 return self._fast_outcome
-        preview = self.mem.preview(core, block, False)
-        if preview.needs_directory:
+        if self.mem.needs_directory(core, block, False):
             conflict = self._check(tid, block, is_write=False)
             if conflict is not None:
                 # NACKed at the directory: no data movement.
@@ -221,7 +338,9 @@ class LogTMSE(HTM):
                 )
         res = self.mem.access(core, block, False)
         txn.read_sig.insert(block)
-        txn.read_set.add(block)
+        if block not in txn.read_set:
+            txn.read_set.add(block)
+            self._summary.add_read(block)
         return AccessOutcome(True, res.latency)
 
     def write(self, core: int, tid: int, block: int) -> AccessOutcome:
@@ -236,8 +355,7 @@ class LogTMSE(HTM):
                 self.mem.fast_hit(core, entry, True)
                 self.mem.fastpath.htm_write_hits += 1
                 return self._fast_outcome
-        preview = self.mem.preview(core, block, True)
-        if preview.needs_directory:
+        if self.mem.needs_directory(core, block, True):
             conflict = self._check(tid, block, is_write=True)
             if conflict is not None:
                 return AccessOutcome(
@@ -248,6 +366,7 @@ class LogTMSE(HTM):
         txn.write_sig.insert(block)
         if block not in txn.write_set:
             txn.write_set.add(block)
+            self._summary.add_write(block)
             latency += self._log_append(core, tid, block)
         return AccessOutcome(True, latency)
 
@@ -256,16 +375,17 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
 
     def commit(self, core: int, tid: int) -> CommitOutcome:
-        self._txn(tid)
+        txn = self._txn(tid)
         self._logs[tid].reset()
         del self._txns[tid]
+        self._summary.drop(txn, self._txns.values())
         self.stats.commits += 1
         self.stats.fast_releases += 1  # signature flash-clear is O(1)
         return CommitOutcome(self.mem.config.latency.txn_commit,
                              used_fast_release=True)
 
     def abort(self, core: int, tid: int) -> CommitOutcome:
-        self._txn(tid)
+        txn = self._txn(tid)
         lat = self.mem.config.latency
         log = self._logs[tid]
         cycles = lat.conflict_trap
@@ -278,6 +398,7 @@ class LogTMSE(HTM):
                 self.stats.undo_cycles += data.latency + lat.undo_write
         log.reset()
         del self._txns[tid]
+        self._summary.drop(txn, self._txns.values())
         self.stats.aborts += 1
         return CommitOutcome(cycles)
 
@@ -286,8 +407,7 @@ class LogTMSE(HTM):
     # ------------------------------------------------------------------
 
     def nontxn_read(self, core: int, tid: int, block: int) -> AccessOutcome:
-        preview = self.mem.preview(core, block, False)
-        if preview.needs_directory:
+        if self.mem.needs_directory(core, block, False):
             conflict = self._check(tid, block, is_write=False)
             if conflict is not None:
                 return AccessOutcome(
@@ -297,8 +417,7 @@ class LogTMSE(HTM):
         return AccessOutcome(True, res.latency)
 
     def nontxn_write(self, core: int, tid: int, block: int) -> AccessOutcome:
-        preview = self.mem.preview(core, block, True)
-        if preview.needs_directory:
+        if self.mem.needs_directory(core, block, True):
             conflict = self._check(tid, block, is_write=True)
             if conflict is not None:
                 return AccessOutcome(
@@ -323,12 +442,15 @@ class LogTMSE(HTM):
         return len(txn.write_set) if txn else 0
 
     def check_invariants(self) -> Dict[str, object]:
-        """Coherence audit plus signature-superset consistency.
+        """Coherence audit, signature supersets and the summary.
 
         A Bloom signature may report false positives but never false
         negatives: every block in a live transaction's exact read
         (write) set must test positive in its read (write) signature,
-        or conflict detection has silently lost isolation.
+        or conflict detection has silently lost isolation.  The
+        machine-wide summary must cover every live signature (Bloom)
+        or equal a recount of the live sets (exact), or a clear-miss
+        answer could hide a real conflict.
         """
         report = super().check_invariants()
         for tid, txn in self._txns.items():
@@ -344,7 +466,11 @@ class LogTMSE(HTM):
                         f"txn {tid} wrote block {block:#x} missing from "
                         f"its write signature (false negative)"
                     )
-        report["checks"] = list(report["checks"]) + ["signature_superset"]
+        problem = self._summary.audit(self._txns.values())
+        if problem is not None:
+            raise TransactionError(problem)
+        report["checks"] = list(report["checks"]) + [
+            "signature_superset", "signature_summary"]
         report["live_txns"] = len(self._txns)
         return report
 

@@ -9,24 +9,62 @@ Following Sanchez et al., the *parallel* organization partitions the
 bit vector into ``num_hashes`` equal banks, one per hash function —
 each hash indexes only its own bank.  This is cheaper in hardware
 than a true Bloom filter and performs as well or better.
+
+The whole vector is one Python int: bank ``b`` holds bits
+``[b * bank_bits, (b + 1) * bank_bits)``.  A block's *mask* is the
+one bit it sets in every bank, so insert is an OR, test is one
+AND/compare and clear is a constant store (the hardware flash-clear).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set
+from typing import Optional, Sequence, Set
 
 from repro.common.config import SignatureConfig
 from repro.signatures.base import Signature
 from repro.signatures.h3 import H3Hash, make_h3_family
 
 
+class BlockMasks(dict):
+    """Memoized block -> mask map of one hash family.
+
+    Indexing computes a missing mask on first use.  Masks depend only
+    on the family and the bank size, so every signature built over the
+    same family can share one map.
+    """
+
+    def __init__(self, hashes: Sequence[H3Hash], bank_bits: int):
+        super().__init__()
+        index_bits = int(math.log2(bank_bits))
+        if (1 << index_bits) != bank_bits:
+            raise ValueError("per-bank size must be a power of two")
+        for h in hashes:
+            if h.out_bits != index_bits:
+                # A wider hash would set bits in the next bank.
+                raise ValueError(
+                    f"hash out_bits {h.out_bits} != bank index width "
+                    f"{index_bits}"
+                )
+        self.hashes = tuple(hashes)
+        self.bank_bits = bank_bits
+
+    def __missing__(self, block_addr: int) -> int:
+        mask = 0
+        offset = 0
+        for h in self.hashes:
+            mask |= 1 << (offset + h(block_addr))
+            offset += self.bank_bits
+        self[block_addr] = mask
+        return mask
+
+
 class BloomSignature(Signature):
     """Parallel-banked Bloom filter over block addresses."""
 
     def __init__(self, config: SignatureConfig, seed: int = 0,
-                 hashes: Optional[List[H3Hash]] = None,
-                 index_cache: Optional[dict] = None):
+                 hashes: Optional[Sequence[H3Hash]] = None,
+                 masks: Optional[BlockMasks] = None):
         if config.perfect:
             raise ValueError(
                 "config requests a perfect signature; use PerfectSignature"
@@ -34,54 +72,42 @@ class BloomSignature(Signature):
         if config.bits % config.num_hashes != 0:
             raise ValueError("signature bits must divide evenly into banks")
         self._config = config
-        self._bank_bits = config.bits // config.num_hashes
-        bank_index_bits = int(math.log2(self._bank_bits))
-        if (1 << bank_index_bits) != self._bank_bits:
-            raise ValueError("per-bank size must be a power of two")
-        if hashes is not None:
-            if len(hashes) != config.num_hashes:
-                raise ValueError("hash family size mismatch")
-            self._hashes = hashes
-        else:
-            self._hashes = make_h3_family(
-                config.num_hashes, bank_index_bits, seed=seed
-            )
-        # Hash results per block are deterministic, so machines that
-        # build many signatures over one family share an index cache.
-        self._index_cache = index_cache if index_cache is not None else {}
-        # One Python int per bank as a bit vector: set/test are O(1)
-        # big-int ops and clear is a constant store, mirroring the
-        # hardware flash-clear.
-        self._banks: List[int] = [0] * config.num_hashes
+        bank_bits = config.bits // config.num_hashes
+        if masks is None:
+            if hashes is None:
+                hashes = make_h3_family(
+                    config.num_hashes, int(math.log2(bank_bits)), seed=seed
+                )
+            masks = BlockMasks(hashes, bank_bits)
+        elif hashes is not None:
+            raise ValueError("pass hashes or masks, not both")
+        if len(masks.hashes) != config.num_hashes:
+            raise ValueError("hash family size mismatch")
+        if masks.bank_bits != bank_bits:
+            raise ValueError("mask map bank size mismatch")
+        self._masks = masks
+        self._bits = 0
         self._exact: Set[int] = set()
 
     @property
     def config(self) -> SignatureConfig:
         return self._config
 
-    def _indices(self, block_addr: int):
-        indices = self._index_cache.get(block_addr)
-        if indices is None:
-            indices = tuple(h(block_addr) for h in self._hashes)
-            self._index_cache[block_addr] = indices
-        return indices
+    @property
+    def bits(self) -> int:
+        """The packed bit vector (bank ``b`` at ``b * bank_bits``)."""
+        return self._bits
 
     def insert(self, block_addr: int) -> None:
-        banks = self._banks
-        for bank, index in enumerate(self._indices(block_addr)):
-            banks[bank] |= 1 << index
+        self._bits |= self._masks[block_addr]
         self._exact.add(block_addr)
 
     def test(self, block_addr: int) -> bool:
-        banks = self._banks
-        for bank, index in enumerate(self._indices(block_addr)):
-            if not (banks[bank] >> index) & 1:
-                return False
-        return True
+        mask = self._masks[block_addr]
+        return self._bits & mask == mask
 
     def clear(self) -> None:
-        for bank in range(len(self._banks)):
-            self._banks[bank] = 0
+        self._bits = 0
         self._exact.clear()
 
     def is_empty(self) -> bool:
@@ -98,8 +124,7 @@ class BloomSignature(Signature):
     @property
     def fill_ratio(self) -> float:
         """Fraction of filter bits set (diagnostic for saturation)."""
-        set_bits = sum(bin(bank).count("1") for bank in self._banks)
-        return set_bits / self._config.bits
+        return bin(self._bits).count("1") / self._config.bits
 
     def expected_false_positive_rate(self) -> float:
         """Analytic FP probability for a uniformly random probe.

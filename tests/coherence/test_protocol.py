@@ -152,29 +152,29 @@ class TestEvictions:
 
 
 class TestPreview:
+    """``needs_directory`` previews an access without doing it."""
+
     def test_preview_hit(self, system):
         mem, _ = system
         mem.access(0, B, False)
-        preview = mem.preview(0, B, False)
-        assert preview.hit and not preview.needs_directory
+        assert not mem.needs_directory(0, B, False)
 
-    def test_preview_upgrade_lists_sharers(self, system):
+    def test_preview_upgrade_needs_directory(self, system):
         mem, _ = system
         mem.access(0, B, False)
         mem.access(1, B, False)
-        preview = mem.preview(0, B, True)
-        assert preview.hit and preview.needs_directory
-        assert preview.would_invalidate == (1,)
+        assert not mem.needs_directory(0, B, False)
+        assert mem.needs_directory(0, B, True)
 
     def test_preview_read_of_owned_block(self, system):
         mem, _ = system
         mem.access(0, B, True)
-        preview = mem.preview(1, B, False)
-        assert preview.would_downgrade == 0
+        assert not mem.needs_directory(0, B, True)
+        assert mem.needs_directory(1, B, False)
 
     def test_preview_does_not_mutate(self, system):
         mem, rec = system
-        mem.preview(0, B, True)
+        assert mem.needs_directory(0, B, True)
         assert rec.events == []
         assert mem.holders(B) == set()
 

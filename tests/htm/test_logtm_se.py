@@ -180,3 +180,71 @@ class TestInstrumentation:
         read_fill, write_fill = htm.signature_fill(0)
         assert read_fill > 0.0
         assert write_fill == 0.0
+
+
+class TestSummary:
+    """The machine-wide summary that answers clear misses."""
+
+    def _loaded(self, **kw):
+        htm = build(**kw)
+        htm.begin(0, 0)
+        htm.read(0, 0, B)
+        htm.write(0, 0, B + 1)
+        htm.begin(1, 1)
+        htm.read(1, 1, B + 2)
+        return htm
+
+    @pytest.mark.parametrize("kw", [{"k": 2}, {"k": 4}, {"perfect": True}])
+    def test_invariants_hold(self, kw):
+        htm = self._loaded(**kw)
+        report = htm.check_invariants()
+        assert "signature_summary" in report["checks"]
+        htm.commit(0, 0)
+        htm.abort(1, 1)
+        htm.check_invariants()
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_corrupted_bloom_summary_caught(self, k):
+        htm = self._loaded(k=k)
+        htm._summary.write = 0
+        with pytest.raises(TransactionError, match="summary"):
+            htm.check_invariants()
+
+    def test_corrupted_exact_summary_caught(self):
+        htm = self._loaded(perfect=True)
+        htm._summary.readers[B + 3] = 1
+        with pytest.raises(TransactionError, match="recount"):
+            htm.check_invariants()
+
+    def test_stale_exact_count_caught(self):
+        htm = self._loaded(perfect=True)
+        htm._summary.writers[B + 1] += 1
+        with pytest.raises(TransactionError, match="recount"):
+            htm.check_invariants()
+
+    def test_commit_empties_summary(self):
+        for kw in ({"k": 2}, {"perfect": True}):
+            htm = self._loaded(**kw)
+            htm.commit(0, 0)
+            htm.commit(1, 1)
+            summary = htm._summary
+            if kw.get("perfect"):
+                assert summary.readers == {} and summary.writers == {}
+            else:
+                assert summary.read == 0 and summary.write == 0
+
+    def test_clear_miss_probes_no_signature(self, monkeypatch):
+        htm = self._loaded(k=4)
+        probes = []
+        for txn in htm._txns.values():
+            for sig in (txn.read_sig, txn.write_sig):
+                monkeypatch.setattr(
+                    sig, "test", lambda b, t=sig.test: probes.append(b)
+                    or t(b))
+        assert htm._check(2, B + 0x9999, is_write=False) is None
+        assert probes == []
+        # A real conflict still walks and reports the writer.
+        conflict = htm._check(2, B + 1, is_write=False)
+        assert conflict.kind is ConflictKind.WRITER
+        assert conflict.hints == (0,)
+        assert probes

@@ -8,6 +8,7 @@ from repro.signatures import (
     PerfectSignature,
     make_signature,
 )
+from repro.signatures.bloom import BlockMasks
 from repro.signatures.h3 import H3Hash, hash_indices, make_h3_family
 
 
@@ -47,6 +48,11 @@ class TestH3:
             H3Hash(0)
         with pytest.raises(ValueError):
             H3Hash(33)
+
+    def test_family_is_shared(self):
+        assert make_h3_family(2, 10, seed=4) is make_h3_family(2, 10, seed=4)
+        assert make_h3_family(2, 10, seed=4) is not make_h3_family(
+            2, 10, seed=5)
 
 
 class TestBloom:
@@ -122,6 +128,36 @@ class TestBloom:
     def test_perfect_config_rejected(self):
         with pytest.raises(ValueError):
             BloomSignature(SignatureConfig(perfect=True))
+
+    def test_hash_width_must_match_bank(self):
+        # 2048 bits / 4 banks = 512-bit banks, indexed by 9-bit hashes.
+        # A 10-bit family would set bits in the neighbouring bank.
+        with pytest.raises(ValueError, match="out_bits"):
+            BloomSignature(self.cfg(), hashes=make_h3_family(4, 10))
+        with pytest.raises(ValueError, match="family size"):
+            BloomSignature(self.cfg(), hashes=make_h3_family(2, 9))
+        BloomSignature(self.cfg(), hashes=make_h3_family(4, 9))
+
+    def test_one_bit_per_bank(self):
+        sig = BloomSignature(self.cfg(bits=2048, k=4))
+        sig.insert(0xABCDE)
+        bank_mask = (1 << 512) - 1
+        for bank in range(4):
+            assert bin((sig.bits >> (bank * 512)) & bank_mask).count("1") == 1
+        assert sig.bits >> 2048 == 0
+
+    def test_shared_masks(self):
+        masks = BlockMasks(make_h3_family(4, 9), 512)
+        a = BloomSignature(self.cfg(), masks=masks)
+        b = BloomSignature(self.cfg(), masks=masks)
+        a.insert(77)
+        assert a.test(77) and not b.test(77)
+        assert 77 in masks
+        with pytest.raises(ValueError):
+            BloomSignature(self.cfg(), hashes=make_h3_family(4, 9),
+                           masks=masks)
+        with pytest.raises(ValueError):
+            BloomSignature(self.cfg(bits=1024), masks=masks)
 
 
 class TestPerfect:
