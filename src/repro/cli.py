@@ -41,13 +41,14 @@ out over processes, ``--cache-dir`` to reuse finished cells across
 invocations, and the supervision flags
 (``--cell-timeout``/``--max-retries``/``--failure-policy``) to
 survive hung or dying workers (``docs/robustness.md``, "Surviving
-the host").  ``chaos`` checkpoints campaigns with
-``--journal``/``--resume``/``--max-cells``; an interrupted campaign
-exits 3 and resumes from the last finished cell.
+the host").
 
 ``bench`` and ``chaos`` take ``--landscape DB`` to record every run
 (and every cell within it) into the durable result landscape
-(``docs/landscape.md``); ``audit`` and ``query`` read it back.  Each
+(``docs/landscape.md``); ``audit`` and ``query`` read it back.  The
+landscape is also the chaos checkpoint: an interrupted campaign
+(``--max-cells`` or a signal) exits 3, and ``chaos --resume`` merges
+the cells its store already finished.  Each
 command's exit-code contract is spelled out in its ``--help`` epilog
 and collected in ``docs/robustness.md``.
 """
@@ -533,6 +534,9 @@ def cmd_bench(args) -> int:
     except IncompleteGridError as exc:
         _print_incomplete(exc)
         return 1
+    except ConfigError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 2
     print(format_bench_summary(payload))
     print(f"wrote {args.out}")
     # Under --failure-policy continue the grid completes with holes;
@@ -566,7 +570,7 @@ def cmd_chaos(args) -> int:
     from repro.faults.bundle import ReproBundle
     from repro.faults.campaign import replay_bundle, run_campaign
     from repro.faults.plan import FaultPlan, default_plan
-    from repro.perf.supervise import CampaignJournal, flush_on_signals
+    from repro.perf.supervise import unwind_on_signals
 
     if args.replay:
         bundle = ReproBundle.load(args.replay)
@@ -600,17 +604,6 @@ def cmd_chaos(args) -> int:
         print(f"  {cell.workload} / {cell.variant} seed {cell.seed}: "
               f"{status}")
 
-    journal_path = args.journal
-    if args.resume and not journal_path:
-        journal_path = "chaos-journal.jsonl"
-    journal = None
-    if journal_path:
-        try:
-            journal = CampaignJournal(journal_path, resume=args.resume)
-        except ConfigError as exc:
-            print(f"chaos: {exc}", file=sys.stderr)
-            return 2
-
     subject = (f"trace {args.trace_file}" if args.trace_file
                else args.workload)
     if not args.json:
@@ -618,12 +611,17 @@ def cmd_chaos(args) -> int:
               f"{len(seeds)} seeds, plan {plan.content_hash()} "
               f"({len(plan)} specs)"
               + (f", mutant {args.mutant}" if args.mutant else ""))
+    db = args.landscape or ("landscape.db" if args.resume else None)
     store = recorder = None
-    if args.landscape:
+    if db:
         from repro.landscape.store import LandscapeStore, current_git_rev
         from repro.perf.cache import CACHE_SCHEMA
 
-        store = LandscapeStore(args.landscape)
+        try:
+            store = LandscapeStore(db)
+        except ConfigError as exc:
+            print(f"chaos: {exc}", file=sys.stderr)
+            return 2
         recorder = store.begin_run(
             "chaos", label=subject, git_rev=current_git_rev(),
             cache_schema=CACHE_SCHEMA,
@@ -632,16 +630,16 @@ def cmd_chaos(args) -> int:
                         "plan": plan.content_hash(),
                         "mutant": args.mutant})
     try:
-        with flush_on_signals(journal):
+        with unwind_on_signals():
             result = run_campaign(
                 workload=args.workload, variants=variants, seeds=seeds,
                 plan=plan, scale=args.scale, quantum=args.quantum,
                 cadence=args.cadence, mutant=args.mutant,
                 shrink=not args.no_shrink, out_dir=args.out_dir,
                 progress=None if args.json else progress,
-                journal=journal, max_cells=args.max_cells,
+                max_cells=args.max_cells,
                 trace_file=args.trace_file,
-                recorder=recorder,
+                recorder=recorder, resume=args.resume,
             )
         if recorder is not None:
             status = ("interrupted" if result.interrupted
@@ -656,8 +654,6 @@ def cmd_chaos(args) -> int:
             recorder.finish("failed")
         raise
     finally:
-        if journal is not None:
-            journal.close()
         if store is not None:
             store.close()
     summary = result.summary()
@@ -665,17 +661,15 @@ def cmd_chaos(args) -> int:
         print(json.dumps(summary, indent=2))
     else:
         if result.resumed_cells:
-            print(f"resumed {result.resumed_cells} cells from "
-                  f"{journal_path}")
+            print(f"resumed {result.resumed_cells} cells from {db}")
         print(f"{summary['cells']} cells, {summary['failures']} "
               f"failures")
         for path in summary["bundles"]:
             print(f"repro bundle: {path} "
                   f"(replay with `repro chaos --replay {path}`)")
     if result.interrupted:
-        hint = (f"resume with `repro chaos --resume "
-                f"--journal {journal_path}`" if journal_path
-                else "no journal was kept; rerun from scratch")
+        hint = (f"resume with `repro chaos --resume --landscape {db}`"
+                if db else "no landscape store was kept; rerun from scratch")
         print(f"chaos: campaign interrupted after "
               f"{summary['cells']} cells; {hint}", file=sys.stderr)
         return 3
@@ -715,7 +709,11 @@ def cmd_audit(args) -> int:
             print(f"audit: no landscape store at {args.db}",
                   file=sys.stderr)
             return 2
-        store = LandscapeStore(args.db)
+        try:
+            store = LandscapeStore(args.db)
+        except ConfigError as exc:
+            print(f"audit: {exc}", file=sys.stderr)
+            return 2
         if store.quarantined:
             print(f"audit: {args.db} was unreadable and has been "
                   f"quarantined to {args.db}.corrupt", file=sys.stderr)
@@ -869,10 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fault-injection campaign (seeds x variants)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 all invariants held; 1 invariant "
-               "violations (or a --replay mismatch); 2 unusable "
-               "journal (stale/foreign; rerun without --resume or "
-               "point --journal elsewhere); 3 campaign interrupted "
-               "(--max-cells or signal) — resumable with --resume")
+               "violations (or a --replay mismatch); 2 landscape store "
+               "unusable (newer schema than this build); 3 campaign "
+               "interrupted (--max-cells or signal) — resumable with "
+               "--resume from the --landscape store")
     chaos_p.add_argument("--workload", default="Cholesky",
                          help="Table 5 workload name")
     chaos_p.add_argument("--variants", default="tokentm,logtm_se,onetm",
@@ -901,20 +899,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip shrinking failing plans to minimal")
     chaos_p.add_argument("--replay", metavar="BUNDLE.json", default=None,
                          help="replay a failure bundle and exit")
-    chaos_p.add_argument("--journal", metavar="FILE", default=None,
-                         help="checkpoint each finished cell to this "
-                              "crash-safe JSONL journal")
     chaos_p.add_argument("--resume", action="store_true",
-                         help="merge cells already in the journal "
-                              "instead of re-running them (default "
-                              "journal: chaos-journal.jsonl)")
+                         help="merge cells the --landscape store "
+                              "already finished instead of re-running "
+                              "them (default store: landscape.db)")
     chaos_p.add_argument("--max-cells", type=int, default=None,
                          help="simulate at most N new cells, then "
                               "stop with exit code 3 (resumable)")
     chaos_p.add_argument("--landscape", metavar="DB", default=None,
                          help="record the campaign (one work row per "
                               "cell, incl. resumed ones) into this "
-                              "landscape store (docs/landscape.md)")
+                              "landscape store, its checkpoint "
+                              "(docs/landscape.md)")
     chaos_p.add_argument("--trace-file", metavar="EVENTS", default=None,
                          help="run the campaign over a replayed event "
                               "trace (transactified) instead of "
@@ -1023,7 +1019,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 bench complete (and within tolerance "
                "when --baseline is given); 1 grid cells failed or a "
-               "regression exceeded the tolerance.  A missing, "
+               "regression exceeded the tolerance; 2 --landscape store "
+               "unusable (newer schema than this build).  A missing, "
                "truncated, or invalid baseline file warns and skips "
                "the comparison — it never fails the run.")
     bench_p.add_argument("--out", metavar="FILE", default="BENCH_perf.json")
@@ -1079,8 +1076,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 ledger balanced (including after "
                "heal-on-reopen of a crashed writer's store); 1 ledger "
                "violations found (orphans, double commits, torn "
-               "rows); 2 store missing or unreadable (an unreadable "
-               "store is quarantined to <db>.corrupt)")
+               "rows); 2 store missing, unreadable (an unreadable "
+               "store is quarantined to <db>.corrupt) or of a newer "
+               "schema than this build")
     audit_p.add_argument("db", nargs="?", default="landscape.db",
                          help="landscape store to audit "
                               "(default: landscape.db)")

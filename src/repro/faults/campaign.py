@@ -14,13 +14,13 @@ On a clean build the acceptance campaign
 come back empty-handed; against the seeded bugs in
 :mod:`repro.faults.mutations` it must not.
 
-Campaigns are *checkpointed*: pass a
-:class:`~repro.perf.supervise.CampaignJournal` and every finished
-cell's outcome is durably journaled under a key derived from the full
-cell content (workload, variant, seed, plan hash, mutant, scale,
-quantum, cadence, skew).  A rerun with ``resume`` merges journaled
-outcomes instead of re-simulating, so a multi-hour campaign killed at
-cell 900/1000 restarts from cell 901 — and the merged
+Campaigns are *checkpointed* in the result landscape: with a
+:class:`~repro.landscape.store.RunRecorder` attached, every finished
+cell's outcome is booked under a key derived from the full cell
+content (workload, variant, seed, plan hash, mutant, scale, quantum,
+cadence, skew).  A rerun with ``resume`` merges those outcomes
+instead of re-simulating, so a multi-hour campaign killed at cell
+900/1000 restarts from cell 901 — and the merged
 :class:`CampaignResult` is identical to an uninterrupted run's
 (asserted by ``tests/faults/test_resume.py``), because each cell is a
 pure function of its key content.
@@ -28,6 +28,7 @@ pure function of its key content.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -93,9 +94,9 @@ class CampaignResult:
     cells: List[ChaosCell] = field(default_factory=list)
     bundle_paths: List[str] = field(default_factory=list)
     #: True when the campaign stopped early (``max_cells`` budget);
-    #: the journal holds everything finished so far — resume to go on.
+    #: the landscape holds everything finished so far — resume to go on.
     interrupted: bool = False
-    #: Cells answered from the journal rather than re-simulated.
+    #: Cells answered from the landscape rather than re-simulated.
     resumed_cells: int = 0
 
     @property
@@ -123,14 +124,14 @@ def campaign_cell_key(workload: str, variant: str, seed: int,
                       cadence: int, skew_tolerance: Optional[int],
                       mutant: Optional[str],
                       trace_digest: Optional[str] = None) -> str:
-    """Journal key of one campaign cell: its full result-determining
-    content, human-readable so a journal can be audited by eye.
+    """Ledger key of one campaign cell: its full result-determining
+    content, human-readable so the landscape can be audited by eye.
 
     The plan rides as its content hash (name excluded, like the RNG
-    lane), so renaming a plan never invalidates a journal but any
-    behavioural change to it does.  Trace-backed cells carry the
+    lane), so renaming a plan never invalidates a recorded cell but
+    any behavioural change to it does.  Trace-backed cells carry the
     trace's content digest the same way: editing the trace file
-    invalidates its journal entries, moving it does not.
+    invalidates its recorded cells, moving it does not.
     """
     parts = [
         workload, resolve_variant(variant), f"s{seed}",
@@ -146,44 +147,15 @@ def campaign_cell_key(workload: str, variant: str, seed: int,
 
 def _cell_record(cell: ChaosCell,
                  bundle_path: Optional[str]) -> Dict[str, object]:
-    """The journaled outcome of one finished cell.
+    """The ``result`` booked with one finished cell's outcome.
 
-    Stats snapshots stay out on purpose: the journal is a *ledger of
+    Workload, variant and seed are on the work row and ok/failed is
+    the outcome itself, so only the error and bundle path ride here.
+    Stats snapshots stay out on purpose: this is a *ledger of
     outcomes* (which cells are done, did they fail, where is the
-    bundle), not a result cache — a resumed cell that needs stats
-    re-runs by simply not being journaled.
+    bundle), not a result cache.
     """
-    return {
-        "workload": cell.workload,
-        "variant": cell.variant,
-        "seed": cell.seed,
-        "ok": cell.ok,
-        "error": dict(cell.error),
-        "bundle_path": bundle_path,
-    }
-
-
-def _work_provenance(cell: ChaosCell, plan: FaultPlan,
-                     trace_digest: Optional[str]) -> Dict[str, object]:
-    """Ledger provenance columns for one chaos cell's work row."""
-    return {
-        "workload": cell.workload,
-        "variant": cell.variant,
-        "seed": cell.seed,
-        "fault_plan": plan.content_hash(),
-        "trace_digest": trace_digest,
-    }
-
-
-def _cell_from_record(record: Dict[str, object]) -> ChaosCell:
-    """Reconstruct a journaled cell (outcome only, ``stats=None``)."""
-    return ChaosCell(
-        workload=record["workload"],
-        variant=record["variant"],
-        seed=record["seed"],
-        ok=bool(record["ok"]),
-        error=dict(record.get("error") or {}),
-    )
+    return {"error": dict(cell.error), "bundle_path": bundle_path}
 
 
 def _build_machine(variant: str, sys_cfg: SystemConfig,
@@ -330,10 +302,10 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                  out_dir: Optional[str] = None,
                  max_bundles: int = 4,
                  progress: Optional[Callable[[ChaosCell], None]] = None,
-                 journal=None,
                  max_cells: Optional[int] = None,
                  trace_file: Optional[str] = None,
                  recorder=None,
+                 resume: bool = False,
                  ) -> CampaignResult:
     """Sweep ``seeds`` x ``variants`` under one fault plan.
 
@@ -341,24 +313,22 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
     a bundle carrying the *minimal* plan is written to ``out_dir``
     (at most ``max_bundles``; the rest stay in the cells).
 
-    ``journal`` (a :class:`~repro.perf.supervise.CampaignJournal`)
-    checkpoints every finished cell; cells already journaled are
-    merged back instead of re-simulated, which is how an interrupted
-    campaign resumes.  ``max_cells`` bounds how many *new* cells this
+    ``recorder`` (a :class:`~repro.landscape.store.RunRecorder`)
+    books the campaign into the result landscape, which is its
+    checkpoint: each cell's work row opens *before* it simulates and
+    closes with the cell's ``result``, so a SIGKILL mid-cell leaves an
+    open row that heal-on-reopen closes as ``interrupted``.  With
+    ``resume`` (which needs ``recorder``), cells the store already
+    finished are merged back instead of re-simulated (and booked
+    again, closed, in this run), which is how an interrupted campaign
+    resumes.  ``max_cells`` bounds how many *new* cells this
     invocation simulates — the campaign stops there with
     ``interrupted=True`` (useful for sharding a long campaign across
     invocations, and for deterministic interruption tests).
-
-    ``recorder`` (a :class:`~repro.landscape.store.RunRecorder`)
-    mirrors the campaign into the result landscape: each cell's work
-    row opens *before* it simulates and closes from the journal's own
-    write path (or directly when no journal is attached), so a
-    SIGKILL mid-cell leaves an open row for heal-on-reopen and the
-    landscape can never claim a cell the journal does not have.
     """
     plan = plan if plan is not None else default_plan()
-    if recorder is not None and journal is not None:
-        journal.recorder = recorder
+    finished = (recorder.store.finished_results("chaos_cell")
+                if resume else {})
     digest = None
     if trace_file is not None:
         from repro.traces.workload import trace_digest as _trace_digest
@@ -379,20 +349,25 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                                     scale, quantum, cadence,
                                     skew_tolerance, mutant,
                                     trace_digest=digest)
-            record = journal.get(key) if journal is not None else None
-            if record is not None:
-                cell = _cell_from_record(record)
+            prov = dict(workload=workload,
+                        variant=resolve_variant(variant), seed=seed,
+                        fault_plan=plan.content_hash(),
+                        trace_digest=digest)
+            row = finished.get(key)
+            if row is not None:
+                # Finished by an earlier run: outcome only, no stats.
+                record = json.loads(row["result"])
+                cell = ChaosCell(workload=row["workload"],
+                                 variant=row["variant"], seed=row["seed"],
+                                 ok=row["outcome"] == "ok",
+                                 error=record["error"])
                 result.cells.append(cell)
                 result.resumed_cells += 1
-                bundle_path = record.get("bundle_path")
-                if bundle_path:
-                    result.bundle_paths.append(bundle_path)
-                if recorder is not None:
-                    recorder.close_key(
-                        "chaos_cell", key,
-                        "ok" if cell.ok else "failed",
-                        detail="resumed from journal",
-                        **_work_provenance(cell, plan, digest))
+                if record["bundle_path"]:
+                    result.bundle_paths.append(record["bundle_path"])
+                recorder.close_key("chaos_cell", key, row["outcome"],
+                                   detail="resumed from landscape",
+                                   result=record, **prov)
                 if progress is not None:
                     progress(cell)
                 continue
@@ -400,11 +375,7 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                 result.interrupted = True
                 return result
             if recorder is not None:
-                recorder.open(
-                    "chaos_cell", key,
-                    workload=workload, variant=resolve_variant(variant),
-                    seed=seed, fault_plan=plan.content_hash(),
-                    trace_digest=digest)
+                recorder.open("chaos_cell", key, **prov)
             cell = run_chaos_cell(
                 workload=workload, variant=variant, seed=seed, plan=plan,
                 scale=scale, quantum=quantum, cadence=cadence,
@@ -430,13 +401,10 @@ def run_campaign(workload: str = DEFAULT_WORKLOAD,
                 cell.bundle.save(bundle_path)
                 result.bundle_paths.append(bundle_path)
             executed += 1
-            if journal is not None:
-                # The journal's write path mirrors the terminal
-                # outcome into the recorder (one source of truth).
-                journal.record(key, _cell_record(cell, bundle_path))
-            elif recorder is not None:
+            if recorder is not None:
                 recorder.close_key("chaos_cell", key,
-                                   "ok" if cell.ok else "failed")
+                                   "ok" if cell.ok else "failed",
+                                   result=_cell_record(cell, bundle_path))
             if progress is not None:
                 progress(cell)
     return result

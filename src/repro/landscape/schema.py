@@ -25,7 +25,10 @@ the provenance needed to trust them later:
     NULL.
 ``outcomes``
     One row per *terminal* outcome (the credit side): ``ok`` /
-    ``failed`` / ``quarantined`` / ``interrupted``.  The ledger
+    ``failed`` / ``quarantined`` / ``interrupted``.  A chaos cell's
+    ``ok``/``failed`` close also carries its ``result`` (canonical
+    JSON of the error and bundle path), which is what
+    ``repro chaos --resume`` merges back.  The ledger
     invariant — **every work row has exactly one outcome row** — is
     deliberately *not* a UNIQUE constraint: like TokenTM's token
     books, the invariant is enforced by an auditor
@@ -51,7 +54,7 @@ from typing import Dict, Sequence, Tuple
 #: Current schema version (sqlite ``user_version``).  A database at
 #: an older version is migrated forward at open; a newer one is
 #: refused (downgrade would need code this build does not have).
-LANDSCAPE_SCHEMA = 1
+LANDSCAPE_SCHEMA = 2
 
 #: Run kinds (``runs.kind``).
 RUN_GRID = "grid"
@@ -141,7 +144,8 @@ CREATE_TABLES: Tuple[str, ...] = (
         outcome     TEXT NOT NULL,
         healed      INTEGER NOT NULL DEFAULT 0,
         closed_unix REAL NOT NULL,
-        detail      TEXT
+        detail      TEXT,
+        result      TEXT
     )
     """,
     """
@@ -165,6 +169,11 @@ CREATE_TABLES: Tuple[str, ...] = (
 #: in order inside one transaction by the store; the final
 #: ``user_version`` write rides the same transaction, so a kill
 #: mid-migration leaves the old version intact and the migration
-#: simply re-runs.  Empty at schema 1; the machinery is exercised by
-#: ``tests/landscape/test_store.py`` with a registered fake step.
-MIGRATIONS: Dict[int, Sequence[str]] = {}
+#: simply re-runs.
+#:
+#: 1 -> 2: ``outcomes.result``, the chaos-cell checkpoint.  Rows
+#: closed before it (including cells mirrored from the retired JSONL
+#: journal) keep ``result`` NULL, so ``--resume`` re-runs them.
+MIGRATIONS: Dict[int, Sequence[str]] = {
+    1: ("ALTER TABLE outcomes ADD COLUMN result TEXT",),
+}

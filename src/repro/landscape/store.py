@@ -40,15 +40,18 @@ import os
 import sqlite3
 import subprocess
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, ReproError
 from repro.landscape.schema import (
     CREATE_TABLES,
     LANDSCAPE_SCHEMA,
     MIGRATIONS,
+    OUTCOME_FAILED,
     OUTCOME_INTERRUPTED,
+    OUTCOME_OK,
     RUN_KINDS,
     RUN_OPEN,
     TERMINAL_OUTCOMES,
@@ -66,6 +69,16 @@ class LedgerError(ReproError):
     open and close) are not errors at write time; they are what
     :mod:`repro.landscape.audit` detects after the fact.
     """
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in WORK_KINDS:
+        raise LedgerError(f"unknown work kind {kind!r}")
+
+
+def _check_outcome(outcome: str) -> None:
+    if outcome not in TERMINAL_OUTCOMES:
+        raise LedgerError(f"unknown terminal outcome {outcome!r}")
 
 
 def current_git_rev(root: Optional[Path] = None) -> Optional[str]:
@@ -272,17 +285,22 @@ class LandscapeStore:
 
     # -- write side ----------------------------------------------------
 
-    def _write(self, sql: str, params: Tuple = ()) -> int:
+    @contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """One ``BEGIN IMMEDIATE`` … ``COMMIT``: all or nothing."""
         if self.readonly:
             raise LedgerError("landscape store is read-only")
-        cur = self._conn.execute("BEGIN IMMEDIATE")
+        self._conn.execute("BEGIN IMMEDIATE")
         try:
-            cur = self._conn.execute(sql, params)
+            yield self._conn
             self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")
             raise
-        return int(cur.lastrowid)
+
+    def _write(self, sql: str, params: Tuple = ()) -> int:
+        with self._transaction() as conn:
+            return int(conn.execute(sql, params).lastrowid)
 
     def begin_run(self, kind: str, label: Optional[str] = None, *,
                   git_rev: Optional[str] = None,
@@ -330,30 +348,70 @@ class LandscapeStore:
                   trace_digest: Optional[str] = None,
                   provenance: Optional[Dict] = None) -> int:
         """Record the debit: a unit of work was dispatched."""
-        if kind not in WORK_KINDS:
-            raise LedgerError(f"unknown work kind {kind!r}")
-        work_id = self._write(
+        _check_kind(kind)
+        with self._transaction() as conn:
+            return self._insert_work(
+                conn, run_id, kind, key, workload=workload,
+                variant=variant, seed=seed, fault_plan=fault_plan,
+                trace_digest=trace_digest, provenance=provenance)
+
+    def close_work(self, work_id: int, outcome: str,
+                   detail: Optional[str] = None,
+                   healed: bool = False,
+                   result: Optional[Dict] = None) -> None:
+        """Record the credit: the unit reached its terminal outcome.
+
+        ``result`` is stored as canonical JSON; ``--resume`` merges it
+        back in place of re-running the unit."""
+        _check_outcome(outcome)
+        with self._transaction() as conn:
+            self._insert_outcome(conn, work_id, outcome, detail, healed,
+                                 result)
+
+    def book_work(self, run_id: int, kind: str, key: str, outcome: str,
+                  detail: Optional[str] = None,
+                  result: Optional[Dict] = None, **prov) -> int:
+        """Debit and credit one unit in a single transaction (a unit
+        whose result is already known).  Both vocabularies are checked
+        before anything is written, so a rejected outcome leaves no
+        orphan work row."""
+        _check_kind(kind)
+        _check_outcome(outcome)
+        with self._transaction() as conn:
+            work_id = self._insert_work(conn, run_id, kind, key, **prov)
+            self._insert_outcome(conn, work_id, outcome, detail, False,
+                                 result)
+        return work_id
+
+    def _insert_work(self, conn: sqlite3.Connection, run_id: int,
+                     kind: str, key: str, *,
+                     workload: Optional[str] = None,
+                     variant: Optional[str] = None,
+                     seed: Optional[int] = None,
+                     fault_plan: Optional[str] = None,
+                     trace_digest: Optional[str] = None,
+                     provenance: Optional[Dict] = None) -> int:
+        work_id = int(conn.execute(
             "INSERT INTO work (run_id, kind, key, workload, variant, "
             "seed, fault_plan, trace_digest, opened_unix, "
             "provenance) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (run_id, kind, key, workload, variant, seed, fault_plan,
              trace_digest, time.time(),
              json.dumps(provenance, sort_keys=True) if provenance else None),
-        )
+        ).lastrowid)
         if self.metrics is not None:
             self.metrics.counter("landscape.work_opened").inc()
         return work_id
 
-    def close_work(self, work_id: int, outcome: str,
-                   detail: Optional[str] = None,
-                   healed: bool = False) -> None:
-        """Record the credit: the unit reached its terminal outcome."""
-        if outcome not in TERMINAL_OUTCOMES:
-            raise LedgerError(f"unknown terminal outcome {outcome!r}")
-        self._write(
+    def _insert_outcome(self, conn: sqlite3.Connection, work_id: int,
+                        outcome: str, detail: Optional[str],
+                        healed: bool, result: Optional[Dict]) -> None:
+        conn.execute(
             "INSERT INTO outcomes (work_id, outcome, healed, "
-            "closed_unix, detail) VALUES (?, ?, ?, ?, ?)",
-            (work_id, outcome, 1 if healed else 0, time.time(), detail),
+            "closed_unix, detail, result) VALUES (?, ?, ?, ?, ?, ?)",
+            (work_id, outcome, 1 if healed else 0, time.time(), detail,
+             json.dumps(result, sort_keys=True, separators=(",", ":"))
+             if result is not None else None),
         )
         if self.metrics is not None:
             self.metrics.counter("landscape.work_closed").inc()
@@ -390,6 +448,22 @@ class LandscapeStore:
     def outcome_rows(self) -> List[sqlite3.Row]:
         return self.query("SELECT * FROM outcomes ORDER BY id")
 
+    def finished_results(self, kind: str) -> Dict[str, sqlite3.Row]:
+        """Per work key of ``kind``: the latest ``ok``/``failed``
+        outcome that carries a ``result``, joined with its work row's
+        workload/variant/seed.  Interrupted, healed and pre-schema-2
+        closes carry none, so their units are absent (they re-run).
+
+        Selects ``outcomes.result``, so read-write stores only (a
+        read-only open does not migrate a schema-1 file)."""
+        rows = self.query(
+            "SELECT w.key, w.workload, w.variant, w.seed, o.outcome, "
+            "o.result FROM work w JOIN outcomes o ON o.work_id = w.id "
+            "WHERE w.kind = ? AND o.outcome IN (?, ?) "
+            "AND o.result IS NOT NULL ORDER BY o.id",
+            (kind, OUTCOME_OK, OUTCOME_FAILED))
+        return {row["key"]: row for row in rows}
+
     def events_for(self, run_id: int) -> List[sqlite3.Row]:
         return self.query(
             "SELECT * FROM events WHERE run_id = ? ORDER BY id", (run_id,))
@@ -412,7 +486,7 @@ class RunRecorder:
     """Ledger pen bound to one run.
 
     Tracks in-process open work by ``(kind, key)`` so call sites can
-    close by key (the runner and the campaign journal know keys, not
+    close by key (the runner and the chaos campaign know keys, not
     row ids), and guards against in-process double closes — the
     cross-process variants stay representable on purpose, for the
     audit to find.
@@ -443,15 +517,18 @@ class RunRecorder:
         self.store.close_work(work_id, outcome, detail)
 
     def close_key(self, kind: str, key: str, outcome: str,
-                  detail: Optional[str] = None, **prov) -> int:
+                  detail: Optional[str] = None,
+                  result: Optional[Dict] = None, **prov) -> int:
         """Close the tracked open row for ``(kind, key)`` — or, if
         none is tracked, open and close one atomically (a unit whose
-        dispatch this recorder never saw, e.g. a journal-resumed cell
-        replayed from a previous run)."""
-        work_id = self._open.pop((kind, key), None)
+        dispatch this recorder never saw, e.g. a resumed chaos cell
+        finished by a previous run)."""
+        work_id = self._open.get((kind, key))
         if work_id is None:
-            work_id = self.store.open_work(self.run_id, kind, key, **prov)
-        self.store.close_work(work_id, outcome, detail)
+            return self.store.book_work(self.run_id, kind, key, outcome,
+                                        detail, result, **prov)
+        self.store.close_work(work_id, outcome, detail, result=result)
+        del self._open[(kind, key)]
         return work_id
 
     def event(self, kind: str, detail: Optional[str] = None,

@@ -12,9 +12,8 @@ scale).  See ``docs/performance.md``.
 * :mod:`repro.perf.runner` — :class:`ParallelRunner`, the grid engine;
 * :mod:`repro.perf.supervise` — the supervision layer: per-cell
   timeouts, retries with backoff, failure policies, pool rebuilding,
-  :class:`RunReport` failure records, the crash-safe
-  :class:`CampaignJournal`, and the SIGINT/SIGTERM flush handler
-  (``docs/robustness.md``, "Surviving the host");
+  :class:`RunReport` failure records, and the SIGINT/SIGTERM unwind
+  handler (``docs/robustness.md``, "Surviving the host");
 * :mod:`repro.perf.bench` — the ``repro bench`` harness that writes
   ``BENCH_perf.json``.
 """
@@ -22,15 +21,13 @@ scale).  See ``docs/performance.md``.
 from repro.perf.cache import ResultCache, cell_key
 from repro.perf.runner import CellSpec, ParallelRunner, grid_specs
 from repro.perf.supervise import (
-    CampaignJournal,
     CellFailure,
     RunReport,
     SupervisorConfig,
-    flush_on_signals,
+    unwind_on_signals,
 )
 
 __all__ = [
-    "CampaignJournal",
     "CellFailure",
     "CellSpec",
     "ParallelRunner",
@@ -38,6 +35,6 @@ __all__ = [
     "RunReport",
     "SupervisorConfig",
     "cell_key",
-    "flush_on_signals",
     "grid_specs",
+    "unwind_on_signals",
 ]

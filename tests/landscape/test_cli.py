@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import sqlite3
 
+import pytest
+
 from repro.cli import main
 from repro.landscape import LandscapeStore
 from repro.perf.bench import BENCH_SCHEMA
@@ -25,6 +27,31 @@ def _bench_store(db, speedups, schema9=False):
                 payload["microbench"] = {"speedup": 3.0 / (10 ** i)}
             rec = store.begin_run("bench", bench_schema=schema)
             rec.finish("ok", payload=payload)
+
+
+@pytest.mark.parametrize("verb", ["chaos", "bench", "audit"])
+def test_newer_schema_store_exits_2(tmp_path, capsys, verb):
+    """A store from a newer build is refused with a one-line message
+    and exit 2, never a traceback (or audit's exit 1)."""
+    db = tmp_path / "db"
+    LandscapeStore(db).close()
+    conn = sqlite3.connect(db)
+    conn.execute("PRAGMA user_version = 99")
+    conn.close()
+    argv = {
+        "chaos": ["chaos", "--variants", "tokentm", "--seeds", "1",
+                  "--scale", "0.002", "--no-shrink",
+                  "--landscape", str(db)],
+        "bench": ["bench", "--quick", "--only", "membench",
+                  "--out", str(tmp_path / "b.json"),
+                  "--landscape", str(db)],
+        "audit": ["audit", str(db)],
+    }[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: ")
+    assert "newer than this build" in err
+    assert err.count("\n") == 1
 
 
 class TestAudit:

@@ -12,6 +12,7 @@ from repro.landscape import (
     LANDSCAPE_COUNTERS,
     LandscapeStore,
     LedgerError,
+    audit_store,
 )
 from repro.landscape.schema import LANDSCAPE_SCHEMA
 from repro.obs.metrics import MetricsRegistry
@@ -87,17 +88,46 @@ def test_finish_closes_leftover_work_as_interrupted(tmp_path):
 
 
 def test_close_key_untracked_opens_and_closes_atomically(tmp_path):
-    """A journal-resumed cell was dispatched by a *previous* process;
+    """A resumed chaos cell was dispatched by a *previous* process;
     this recorder still books both sides so the ledger balances."""
     with LandscapeStore(_db(tmp_path)) as store:
         rec = store.begin_run("chaos")
         rec.close_key("chaos_cell", "resumed", "ok",
-                      detail="resumed from journal", workload="Tiny")
+                      detail="resumed from landscape", workload="Tiny",
+                      result={"error": {}, "bundle_path": None})
         rec.finish("ok")
         work, = store.work_rows()
         outcome, = store.outcome_rows()
         assert work["key"] == "resumed"
         assert outcome["outcome"] == "ok"
+        assert outcome["result"] == '{"bundle_path":null,"error":{}}'
+
+
+def test_rejected_untracked_close_writes_nothing(tmp_path):
+    """An unknown outcome is refused before the work row is written:
+    no orphan for ``finish()`` to miss and the audit to report."""
+    with LandscapeStore(_db(tmp_path)) as store:
+        rec = store.begin_run("chaos")
+        before = store.work_rows()
+        with pytest.raises(LedgerError, match="bogus"):
+            rec.close_key("chaos_cell", "k1", "bogus")
+        assert store.work_rows() == before
+        rec.finish("ok")
+        assert audit_store(store) == []
+
+
+def test_rejected_tracked_close_stays_open(tmp_path):
+    """A refused close leaves the row tracked, so ``finish()`` still
+    closes it as interrupted."""
+    with LandscapeStore(_db(tmp_path)) as store:
+        rec = store.begin_run("chaos")
+        rec.open("chaos_cell", "k1")
+        with pytest.raises(LedgerError, match="bogus"):
+            rec.close_key("chaos_cell", "k1", "bogus")
+        rec.finish("interrupted")
+        outcome, = store.outcome_rows()
+        assert outcome["outcome"] == "interrupted"
+        assert audit_store(store) == []
 
 
 def test_unknown_vocabulary_rejected_at_write(tmp_path):
@@ -197,8 +227,8 @@ def test_newer_schema_refused(tmp_path):
 
 
 def test_forward_migration_machinery(tmp_path, monkeypatch):
-    """MIGRATIONS is empty at schema 1; exercise the machinery with a
-    registered fake step to 2 so the first real bump is routine."""
+    """Exercise the machinery with a registered fake step one past
+    the current schema, so the next bump is routine."""
     db = _db(tmp_path)
     with LandscapeStore(db) as store:
         store.begin_run("grid").finish("ok")
