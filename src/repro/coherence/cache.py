@@ -16,12 +16,23 @@ from repro.common.errors import CoherenceError
 
 
 class MESI(Enum):
-    """Stable coherence states of an L1 line."""
+    """Stable coherence states of an L1 line.
+
+    An invalid copy is not stored: invalidation and eviction remove
+    the line, so a resident line is always M, E or S.
+    """
 
     MODIFIED = "M"
     EXCLUSIVE = "E"
     SHARED = "S"
-    INVALID = "I"
+
+
+#: States as module constants: an ``Enum`` class-attribute lookup costs
+#: several times a global read, and the access path tests states on
+#: every call.
+MODIFIED = MESI.MODIFIED
+EXCLUSIVE = MESI.EXCLUSIVE
+SHARED = MESI.SHARED
 
 
 class CacheLine:
@@ -73,11 +84,8 @@ class L1Cache:
         return self._sets[block & self._set_mask]
 
     def lookup(self, block: int) -> Optional[CacheLine]:
-        """Return the line for ``block`` if present and valid."""
-        line = self._sets[block & self._set_mask].get(block)
-        if line is not None and line.state is MESI.INVALID:
-            return None
-        return line
+        """Return the line for ``block`` if resident."""
+        return self._sets[block & self._set_mask].get(block)
 
     def touch(self, block: int) -> None:
         """Refresh LRU recency of a resident block."""
@@ -101,7 +109,7 @@ class L1Cache:
         """Pick the line to evict to make room for ``block``.
 
         Returns None when the set has a free way (or the block is
-        already resident).  The LRU-minimal valid line is chosen.
+        already resident).  The LRU-minimal line is chosen.
         """
         cache_set = self._set_for(block)
         if block in cache_set:
@@ -160,10 +168,10 @@ class L1Cache:
         return overflow
 
     def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all valid resident lines."""
+        """Iterate over all resident lines."""
         for cache_set in self._sets:
             yield from cache_set.values()
 
     def resident_count(self) -> int:
-        """Number of valid lines currently held."""
+        """Number of lines currently held."""
         return sum(len(s) for s in self._sets)

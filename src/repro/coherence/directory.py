@@ -23,19 +23,25 @@ class DirState(Enum):
     EXCLUSIVE = "X"  # one owner, possibly dirty (covers MESI M and E)
 
 
+#: States as module constants (see ``repro.coherence.cache``).
+DIR_UNCACHED = DirState.UNCACHED
+DIR_SHARED = DirState.SHARED
+DIR_EXCLUSIVE = DirState.EXCLUSIVE
+
+
 class DirectoryEntry:
     """Sharer/owner bookkeeping for one block."""
 
     __slots__ = ("state", "owner", "sharers")
 
     def __init__(self) -> None:
-        self.state = DirState.UNCACHED
+        self.state = DIR_UNCACHED
         self.owner: Optional[int] = None
         self.sharers: Set[int] = set()
 
     def holders(self) -> Set[int]:
         """All cores the directory believes hold the block."""
-        if self.state is DirState.EXCLUSIVE:
+        if self.state is DIR_EXCLUSIVE:
             return {self.owner} if self.owner is not None else set()
         return set(self.sharers)
 
@@ -61,11 +67,11 @@ class Directory:
     def record_shared_fill(self, block: int, core: int) -> None:
         """A core received a shared copy."""
         entry = self.entry(block)
-        if entry.state is DirState.EXCLUSIVE:
+        if entry.state is DIR_EXCLUSIVE:
             raise CoherenceError(
                 f"shared fill of {block:#x} while exclusively owned"
             )
-        entry.state = DirState.SHARED
+        entry.state = DIR_SHARED
         entry.sharers.add(core)
 
     def record_exclusive_fill(self, block: int, core: int) -> None:
@@ -75,35 +81,35 @@ class Directory:
             raise CoherenceError(
                 f"exclusive fill of {block:#x} with live holders"
             )
-        entry.state = DirState.EXCLUSIVE
+        entry.state = DIR_EXCLUSIVE
         entry.owner = core
         entry.sharers.clear()
 
     def record_eviction(self, block: int, core: int) -> None:
         """Non-silent eviction: remove a holder."""
         entry = self.entry(block)
-        if entry.state is DirState.EXCLUSIVE:
+        if entry.state is DIR_EXCLUSIVE:
             if entry.owner != core:
                 raise CoherenceError(
                     f"eviction of {block:#x} by non-owner core {core}"
                 )
-            entry.state = DirState.UNCACHED
+            entry.state = DIR_UNCACHED
             entry.owner = None
-        elif entry.state is DirState.SHARED:
+        elif entry.state is DIR_SHARED:
             if core not in entry.sharers:
                 raise CoherenceError(
                     f"eviction of {block:#x} by non-sharer core {core}"
                 )
             entry.sharers.discard(core)
             if not entry.sharers:
-                entry.state = DirState.UNCACHED
+                entry.state = DIR_UNCACHED
         else:
             raise CoherenceError(f"eviction of uncached block {block:#x}")
 
     def record_upgrade(self, block: int, core: int) -> None:
         """A sharer gained exclusive ownership (others already removed)."""
         entry = self.entry(block)
-        if entry.state is not DirState.SHARED or core not in entry.sharers:
+        if entry.state is not DIR_SHARED or core not in entry.sharers:
             raise CoherenceError(
                 f"upgrade of {block:#x} by core {core} that is not a sharer"
             )
@@ -111,17 +117,17 @@ class Directory:
             raise CoherenceError(
                 f"upgrade of {block:#x} with other sharers still live"
             )
-        entry.state = DirState.EXCLUSIVE
+        entry.state = DIR_EXCLUSIVE
         entry.owner = core
         entry.sharers.clear()
 
     def record_downgrade(self, block: int, requester: int) -> None:
         """Owner demoted to sharer; requester added as sharer."""
         entry = self.entry(block)
-        if entry.state is not DirState.EXCLUSIVE or entry.owner is None:
+        if entry.state is not DIR_EXCLUSIVE or entry.owner is None:
             raise CoherenceError(f"downgrade of non-exclusive block {block:#x}")
         old_owner = entry.owner
-        entry.state = DirState.SHARED
+        entry.state = DIR_SHARED
         entry.owner = None
         entry.sharers = {old_owner, requester}
 

@@ -25,8 +25,19 @@ from typing import List, Optional, Set, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import CoherenceError
-from repro.coherence.cache import CacheLine, L1Cache, MESI
-from repro.coherence.directory import Directory, DirState
+from repro.coherence.cache import (
+    EXCLUSIVE,
+    MODIFIED,
+    SHARED,
+    CacheLine,
+    L1Cache,
+)
+from repro.coherence.directory import (
+    DIR_EXCLUSIVE,
+    DIR_SHARED,
+    DIR_UNCACHED,
+    Directory,
+)
 from repro.interconnect.topology import TiledTopology
 from repro.obs.events import NULL_BUS, EventBus, EventKind
 
@@ -224,9 +235,9 @@ class MemorySystem:
         upgrade).  LogTM-SE signature-checks exactly these requests.
         """
         line = self._caches[core].lookup(block)
-        # ``lookup`` never returns an invalid line, so a write hit
-        # needs the directory only when the copy is shared.
-        return line is None or (is_write and line.state is MESI.SHARED)
+        # A resident line is M, E or S, so a write hit needs the
+        # directory only when the copy is shared.
+        return line is None or (is_write and line.state is SHARED)
 
     # The layered benchmark's tracer wraps this name; it goes when the
     # tracer's target list drops it.
@@ -286,6 +297,30 @@ class MemorySystem:
             return self._access_hit(core, cache, line, block, is_write)
         return self._access_miss(core, cache, block, is_write)
 
+    def access_latency(self, core: int, block: int, is_write: bool) -> int:
+        """``access(core, block, is_write).latency``, for latency-only callers.
+
+        Log appends and log walks use only the latency.  A pure L1 hit
+        (any read, or a write to an M or E copy) is answered here with
+        one tag lookup and no result object.  It applies the same
+        side effects as :meth:`access`: the counter bumps, one LRU tick
+        and the silent E->M fold.  Anything else goes through
+        :meth:`access`.
+        """
+        cache = self._caches[core]
+        line = cache.lookup(block)
+        if line is None or (is_write and line.state is SHARED):
+            return self.access(core, block, is_write).latency
+        stats = self.stats
+        if is_write:
+            stats.writes += 1
+            line.state = MODIFIED  # silent E->M; an M line stays M
+        else:
+            stats.reads += 1
+        stats.l1_hits += 1
+        cache.touch_line(line)
+        return self._lat.l1_hit
+
     # ------------------------------------------------------------------
     # The hit filter
     # ------------------------------------------------------------------
@@ -327,9 +362,9 @@ class MemorySystem:
         if is_write:
             stats.writes += 1
             fp.coherence_write_hits += 1
-            if line.state is not MESI.MODIFIED:
+            if line.state is not MODIFIED:
                 # Silent E->M upgrade, same as the slow hit path.
-                line.state = MESI.MODIFIED
+                line.state = MODIFIED
         else:
             stats.reads += 1
             fp.coherence_read_hits += 1
@@ -344,7 +379,7 @@ class MemorySystem:
             result = AccessResult(self._lat.l1_hit, True, line)
         block = line.block
         self._filters[core][block & _FILTER_MASK] = [
-            block, line, line.state is not MESI.SHARED, result,
+            block, line, line.state is not SHARED, result,
         ]
         self.fastpath.installs += 1
 
@@ -361,15 +396,15 @@ class MemorySystem:
                     block: int, is_write: bool) -> AccessResult:
         lat = self._lat
         cache.touch_line(line)
-        if not is_write or line.state is MESI.MODIFIED:
+        if not is_write or line.state is MODIFIED:
             self.stats.l1_hits += 1
             result = AccessResult(lat.l1_hit, True, line)
             if self._fast_path:
                 self._filter_install(core, line, result)
             return result
-        if line.state is MESI.EXCLUSIVE:
+        if line.state is EXCLUSIVE:
             # Silent E->M upgrade; directory already records exclusivity.
-            line.state = MESI.MODIFIED
+            line.state = MODIFIED
             self.stats.l1_hits += 1
             result = AccessResult(lat.l1_hit, True, line)
             if self._fast_path:
@@ -380,7 +415,7 @@ class MemorySystem:
         self.stats.upgrades += 1
         invalidated = self._invalidate_others(core, block)
         self._directory.record_upgrade(block, core)
-        line.state = MESI.MODIFIED
+        line.state = MODIFIED
         latency = (lat.l1_hit + self._directory_round_trip(core, block)
                    + self._invalidation_latency(core, block, invalidated))
         if self._fast_path:
@@ -399,7 +434,7 @@ class MemorySystem:
         source = MEMORY_HOLDER
         invalidated: Tuple[int, ...] = ()
 
-        if entry.state is DirState.EXCLUSIVE:
+        if entry.state is DIR_EXCLUSIVE:
             owner = entry.owner
             assert owner is not None
             source = owner
@@ -413,20 +448,20 @@ class MemorySystem:
                 self._filter_drop(owner, block)
                 self._listener.on_invalidate(owner, block, owner_line, core)
                 self.stats.invalidations += 1
-                entry.state = DirState.UNCACHED
+                entry.state = DIR_UNCACHED
                 entry.owner = None
                 invalidated = (owner,)
             else:
                 owner_line = self._caches[owner].lookup(block)
                 assert owner_line is not None
-                owner_line.state = MESI.SHARED
+                owner_line.state = SHARED
                 self._filter_drop(owner, block)
                 self._directory.record_downgrade(block, core)
                 self._listener.on_downgrade(owner, block, owner_line, core)
                 self.stats.downgrades += 1
             self._l2_present.add(block)
         else:
-            if entry.state is DirState.SHARED and is_write:
+            if entry.state is DIR_SHARED and is_write:
                 invalidated = self._invalidate_others(core, block)
                 latency += self._invalidation_latency(core, block, invalidated)
             if block in self._l2_present or self._is_zero_filled(block):
@@ -440,27 +475,27 @@ class MemorySystem:
                 self._l2_present.add(block)
 
         if is_write:
-            new_line = cache.install(block, MESI.MODIFIED)
+            new_line = cache.install(block, MODIFIED)
             # Entry may be freshly UNCACHED or drained of sharers.
-            entry.state = DirState.EXCLUSIVE
+            entry.state = DIR_EXCLUSIVE
             entry.owner = core
             entry.sharers.clear()
         else:
-            shared = entry.state is DirState.SHARED
-            new_state = MESI.SHARED if shared else MESI.EXCLUSIVE
+            shared = entry.state is DIR_SHARED
+            new_state = SHARED if shared else EXCLUSIVE
             new_line = cache.install(block, new_state)
             if shared:
                 entry.sharers.add(core)
             else:
-                entry.state = (DirState.SHARED if source != MEMORY_HOLDER
-                               else DirState.EXCLUSIVE)
-                if entry.state is DirState.EXCLUSIVE:
+                entry.state = (DIR_SHARED if source != MEMORY_HOLDER
+                               else DIR_EXCLUSIVE)
+                if entry.state is DIR_EXCLUSIVE:
                     entry.owner = core
                 else:  # downgrade path already set sharers
                     pass
 
         self._listener.on_fill(core, block, new_line,
-                               shared=new_line.state is MESI.SHARED,
+                               shared=new_line.state is SHARED,
                                source=source)
         if self._fast_path:
             self._filter_install(core, new_line)
@@ -514,7 +549,7 @@ class MemorySystem:
 
     def _invalidate_others(self, core: int, block: int) -> Tuple[int, ...]:
         entry = self._directory.entry(block)
-        if entry.state is not DirState.SHARED:
+        if entry.state is not DIR_SHARED:
             return ()
         others = sorted(entry.sharers - {core})
         for other in others:
@@ -570,7 +605,7 @@ class MemorySystem:
                     f"for block {block:#x}"
                 )
             modified = [c for c, ln in holders
-                        if ln.state in (MESI.MODIFIED, MESI.EXCLUSIVE)]
+                        if ln.state in (MODIFIED, EXCLUSIVE)]
             if len(modified) > 1:
                 raise CoherenceError(
                     f"multiple exclusive copies of {block:#x}: {modified}"

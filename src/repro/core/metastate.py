@@ -15,30 +15,45 @@ the contention manager's easy/hard cases (Section 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
 from repro.common.errors import BookkeepingError, MetastateError, TokenError
 
 
-@dataclass(frozen=True)
 class Meta:
     """Immutable (Sum, TID) metastate summary.
 
     ``tid`` is meaningful only when ``total`` is 1 or T; anonymous
     reader counts carry ``tid=None``.  ``total == 0`` is the
     transactionally-inactive state ``(0, -)``.
+
+    A value type built on every token decode, so a ``__slots__``
+    class: a frozen dataclass costs several times as much to build
+    ("Per-access object cost" in docs/performance.md).  Nothing
+    assigns its fields after construction.
     """
 
-    total: int
-    tid: Optional[int] = None
+    __slots__ = ("total", "tid")
 
-    def __post_init__(self) -> None:
-        if self.total < 0:
-            raise MetastateError(f"negative token sum {self.total}")
-        if self.tid is not None and self.total == 0:
+    def __init__(self, total: int, tid: Optional[int] = None) -> None:
+        if total < 0:
+            raise MetastateError(f"negative token sum {total}")
+        if tid is not None and total == 0:
             raise MetastateError("(0, X) is not a legal metastate")
+        self.total = total
+        self.tid = tid
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Meta:
+            return NotImplemented
+        return self.total == other.total and self.tid == other.tid
+
+    def __hash__(self) -> int:
+        return hash((self.total, self.tid))
+
+    def __repr__(self) -> str:
+        return f"Meta(total={self.total!r}, tid={self.tid!r})"
 
     def __str__(self) -> str:
         owner = "-" if self.tid is None else str(self.tid)
@@ -60,7 +75,13 @@ class AccessVerdict(Enum):
     READER_CONFLICT = "reader-conflict"
 
 
-@dataclass(frozen=True)
+#: Verdicts as module constants: an ``Enum`` class-attribute lookup
+#: costs several times a global read on the per-access path.
+GRANTED = AccessVerdict.GRANTED
+WRITER_CONFLICT = AccessVerdict.WRITER_CONFLICT
+READER_CONFLICT = AccessVerdict.READER_CONFLICT
+
+
 class AcquireResult:
     """Outcome of :func:`acquire_read` / :func:`acquire_write`.
 
@@ -75,16 +96,39 @@ class AcquireResult:
     owner_hint:
         TID of a conflicting transaction when the metastate identifies
         one (the contention manager's "easy case"); None otherwise.
+    granted:
+        Whether ``verdict`` is :attr:`AccessVerdict.GRANTED`.
+
+    A ``__slots__`` value type like :class:`Meta`: one is built per
+    token acquisition attempt.
     """
 
-    verdict: AccessVerdict
-    meta: Meta
-    acquired: int = 0
-    owner_hint: Optional[int] = None
+    __slots__ = ("verdict", "meta", "acquired", "owner_hint", "granted")
 
-    @property
-    def granted(self) -> bool:
-        return self.verdict is AccessVerdict.GRANTED
+    def __init__(self, verdict: AccessVerdict, meta: Meta,
+                 acquired: int = 0,
+                 owner_hint: Optional[int] = None) -> None:
+        self.verdict = verdict
+        self.meta = meta
+        self.acquired = acquired
+        self.owner_hint = owner_hint
+        self.granted = verdict is GRANTED
+
+    def _key(self) -> tuple:
+        return (self.verdict, self.meta, self.acquired, self.owner_hint)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AcquireResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"AcquireResult(verdict={self.verdict!r}, "
+                f"meta={self.meta!r}, acquired={self.acquired!r}, "
+                f"owner_hint={self.owner_hint!r})")
 
 
 def acquire_read(meta: Meta, tid: int, tokens_per_block: int) -> AcquireResult:
@@ -99,16 +143,16 @@ def acquire_read(meta: Meta, tid: int, tokens_per_block: int) -> AcquireResult:
     total = tokens_per_block
     if meta.total == total:
         if meta.tid == tid:
-            return AcquireResult(AccessVerdict.GRANTED, meta)  # own write set
+            return AcquireResult(GRANTED, meta)  # own write set
         return AcquireResult(
-            AccessVerdict.WRITER_CONFLICT, meta, owner_hint=meta.tid
+            WRITER_CONFLICT, meta, owner_hint=meta.tid
         )
     if meta.total == 0:
-        return AcquireResult(AccessVerdict.GRANTED, Meta(1, tid), acquired=1)
+        return AcquireResult(GRANTED, Meta(1, tid), acquired=1)
     if meta.total == 1 and meta.tid == tid:
         # Already in this transaction's read set (e.g. re-read after
         # the R bit travelled through a context switch).
-        return AcquireResult(AccessVerdict.GRANTED, meta)
+        return AcquireResult(GRANTED, meta)
     if meta.total + 1 >= total:
         # Reader counts may never reach T (that would masquerade as a
         # writer).  With T = 2**14 this needs ~16K concurrent readers
@@ -121,7 +165,7 @@ def acquire_read(meta: Meta, tid: int, tokens_per_block: int) -> AcquireResult:
     # Join an anonymous reader count, losing any single-reader identity
     # (fusion rule (1, X) + (1, Y) -> (2, -)).
     return AcquireResult(
-        AccessVerdict.GRANTED, Meta(meta.total + 1, None), acquired=1
+        GRANTED, Meta(meta.total + 1, None), acquired=1
     )
 
 
@@ -136,21 +180,21 @@ def acquire_write(meta: Meta, tid: int, tokens_per_block: int) -> AcquireResult:
     total = tokens_per_block
     if meta.total == total:
         if meta.tid == tid:
-            return AcquireResult(AccessVerdict.GRANTED, meta)
+            return AcquireResult(GRANTED, meta)
         return AcquireResult(
-            AccessVerdict.WRITER_CONFLICT, meta, owner_hint=meta.tid
+            WRITER_CONFLICT, meta, owner_hint=meta.tid
         )
     if meta.total == 0:
         return AcquireResult(
-            AccessVerdict.GRANTED, Meta(total, tid), acquired=total
+            GRANTED, Meta(total, tid), acquired=total
         )
     if meta.total == 1 and meta.tid == tid:
         # Read-to-write upgrade: acquire the remaining T-1 tokens.
         return AcquireResult(
-            AccessVerdict.GRANTED, Meta(total, tid), acquired=total - 1
+            GRANTED, Meta(total, tid), acquired=total - 1
         )
     hint = meta.tid if meta.total == 1 else None
-    return AcquireResult(AccessVerdict.READER_CONFLICT, meta, owner_hint=hint)
+    return AcquireResult(READER_CONFLICT, meta, owner_hint=hint)
 
 
 def release(meta: Meta, tid: int, count: int,

@@ -20,7 +20,6 @@ real coherence access for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from repro.common.config import BLOCK_SHIFT
@@ -39,18 +38,35 @@ LOG_REGION_BASE_BLOCK = 1 << 40
 LOG_REGION_BLOCKS_PER_THREAD = 1 << 18
 
 
-@dataclass(frozen=True)
 class LogRecord:
-    """One log entry: a token credit and (for writes) the old value."""
+    """One log entry: a token credit and (for writes) the old value.
 
-    block: int
-    tokens: int
-    is_write: bool
+    ``words`` is the log space the record occupies.  A ``__slots__``
+    value type like :class:`~repro.core.metastate.Meta`: one is built
+    on every token acquisition.  Nothing assigns its fields after
+    construction.
+    """
 
-    @property
-    def words(self) -> int:
-        """Log space the record occupies."""
-        return WRITE_RECORD_WORDS if self.is_write else READ_RECORD_WORDS
+    __slots__ = ("block", "tokens", "is_write", "words")
+
+    def __init__(self, block: int, tokens: int, is_write: bool) -> None:
+        self.block = block
+        self.tokens = tokens
+        self.is_write = is_write
+        self.words = WRITE_RECORD_WORDS if is_write else READ_RECORD_WORDS
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LogRecord:
+            return NotImplemented
+        return (self.block == other.block and self.tokens == other.tokens
+                and self.is_write == other.is_write)
+
+    def __hash__(self) -> int:
+        return hash((self.block, self.tokens, self.is_write))
+
+    def __repr__(self) -> str:
+        return (f"LogRecord(block={self.block!r}, tokens={self.tokens!r}, "
+                f"is_write={self.is_write!r})")
 
 
 class TmLog:
@@ -107,11 +123,14 @@ class TmLog:
         if tokens <= 0:
             raise TransactionError("log record must credit at least 1 token")
         record = LogRecord(block, tokens, is_write)
-        first = self._block_of_word(self._pointer_words)
-        self._pointer_words += record.words
-        last = self._block_of_word(self._pointer_words - 1)
+        start = self._pointer_words
+        end = start + record.words
+        self._pointer_words = end
         self._records.append(record)
-        self.max_words = max(self.max_words, self._pointer_words)
+        if end > self.max_words:
+            self.max_words = end
+        first = self._block_of_word(start)
+        last = self._block_of_word(end - 1)
         if first == last:
             return (first,)
         return tuple(range(first, last + 1))
@@ -134,13 +153,10 @@ class TmLog:
         LogTM-style undo must restore old values last-write-first so
         that a block written twice ends at its pre-transaction value.
         """
-        offsets = []
-        offset = 0
-        for record in self._records:
-            offsets.append(offset)
-            offset += record.words
-        for record, start in zip(reversed(self._records), reversed(offsets)):
-            yield record, self._block_of_word(start)
+        offset = self._pointer_words
+        for record in reversed(self._records):
+            offset -= record.words
+            yield record, self._block_of_word(offset)
 
     def token_credits(self) -> dict:
         """Total tokens credited per block — the log side of the books."""

@@ -305,9 +305,9 @@ class LogTMSE(HTM):
         log = self._logs[tid]
         cycles = 0
         for log_block in log.append(block, 1, True):
-            res = self.mem.access(core, log_block, True)
-            cycles += res.latency + lat.log_write
-            stall = res.latency - lat.l1_hit
+            latency = self.mem.access_latency(core, log_block, True)
+            cycles += latency + lat.log_write
+            stall = latency - lat.l1_hit
             if stall > 0:
                 self.stats.log_stall_cycles += stall
         self.stats.log_write_cycles += cycles
@@ -390,8 +390,7 @@ class LogTMSE(HTM):
         log = self._logs[tid]
         cycles = lat.conflict_trap
         for record, log_block in log.walk_backward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
+            cycles += self.mem.access_latency(core, log_block, False)
             if record.is_write:
                 data = self.mem.access(core, record.block, True)
                 cycles += data.latency + lat.undo_write

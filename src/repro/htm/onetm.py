@@ -194,8 +194,8 @@ class OneTM(HTM, CoherenceListener):
         lat = self.mem.config.latency
         cycles = 0
         for log_block in self._logs[tid].append(block, 1, True):
-            res = self.mem.access(core, log_block, True)
-            cycles += res.latency + lat.log_write
+            cycles += (self.mem.access_latency(core, log_block, True)
+                       + lat.log_write)
         return cycles
 
     def _fast_ok(self, txn: _OneTxn) -> bool:
@@ -272,8 +272,7 @@ class OneTM(HTM, CoherenceListener):
         log = self._logs[tid]
         cycles = lat.conflict_trap
         for record, log_block in log.walk_backward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
+            cycles += self.mem.access_latency(core, log_block, False)
             if record.is_write:
                 data = self.mem.access(core, record.block, True)
                 cycles += data.latency + lat.undo_write

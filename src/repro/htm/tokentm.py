@@ -40,7 +40,7 @@ from repro.common.errors import (
     MetastateError,
     TransactionError,
 )
-from repro.coherence.cache import CacheLine, MESI
+from repro.coherence.cache import EXCLUSIVE, MODIFIED, CacheLine
 from repro.coherence.protocol import (
     F_LINE,
     MEMORY_HOLDER,
@@ -54,7 +54,6 @@ from repro.core.fission import fission, fuse
 from repro.core.metabits import CacheMetabits
 from repro.core.metastate import (
     META_ZERO,
-    AccessVerdict,
     Meta,
     acquire_read,
     acquire_write,
@@ -302,9 +301,9 @@ class TokenTM(HTM, CoherenceListener):
         log = self._logs[tid]
         cycles = 0
         for log_block in log.append(block, tokens, is_write):
-            res = self.mem.access(core, log_block, True)
-            cycles += res.latency + lat.log_write
-            stall = res.latency - lat.l1_hit
+            latency = self.mem.access_latency(core, log_block, True)
+            cycles += latency + lat.log_write
+            stall = latency - lat.l1_hit
             if stall > 0:
                 self.stats.log_stall_cycles += stall
         self.stats.log_write_cycles += cycles
@@ -552,8 +551,7 @@ class TokenTM(HTM, CoherenceListener):
         cycles = lat.conflict_trap
         # Undo pass: newest-first, restore old values of written blocks.
         for record, log_block in log.walk_backward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
+            cycles += self.mem.access_latency(core, log_block, False)
             if record.is_write:
                 data = self.mem.access(core, record.block, True)
                 self._post_access(core, record.block, data)
@@ -572,8 +570,7 @@ class TokenTM(HTM, CoherenceListener):
         lat = self.mem.config.latency
         cycles = 0
         for _record, log_block in log.walk_forward():
-            res = self.mem.access(core, log_block, False)
-            cycles += res.latency
+            cycles += self.mem.access_latency(core, log_block, False)
         cycles += self._release_tokens(core, tid, log)
         return cycles
 
@@ -587,7 +584,7 @@ class TokenTM(HTM, CoherenceListener):
         and stores.
         """
         lat = self.mem.config.latency
-        cycles = len(log.records) * lat.token_release
+        cycles = log.entry_count * lat.token_release
         bus = self.bus
         for block, count in log.token_credits().items():
             if bus.enabled:
@@ -605,7 +602,7 @@ class TokenTM(HTM, CoherenceListener):
                 # copy — otherwise stale (T, X) replicas would
                 # survive in other caches.
                 assert line is not None
-                covered = line.state in (MESI.MODIFIED, MESI.EXCLUSIVE)
+                covered = line.state in (MODIFIED, EXCLUSIVE)
             if not covered:
                 res = self.mem.access(core, block, True)
                 line = self._post_access(core, block, res)

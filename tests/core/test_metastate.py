@@ -6,6 +6,7 @@ from repro.common.errors import BookkeepingError, MetastateError, TokenError
 from repro.core.metastate import (
     META_ZERO,
     AccessVerdict,
+    AcquireResult,
     Meta,
     acquire_read,
     acquire_write,
@@ -36,6 +37,61 @@ class TestMeta:
     def test_equality(self):
         assert Meta(1, 2) == Meta(1, 2)
         assert Meta(1, 2) != Meta(1, 3)
+        assert Meta(2) == Meta(2, None)
+        assert Meta(1, 2) != (1, 2)
+
+    def test_hash_follows_equality(self):
+        # Meta values sit in dicts (TokenTM's pending shards) and sets.
+        assert hash(Meta(3, None)) == hash(Meta(3, None))
+        pending = {(0, 0x40): Meta(2, None)}
+        pending[(0, 0x40)] = Meta(2, None)
+        assert pending == {(0, 0x40): Meta(2, None)}
+        assert len({Meta(1, 4), Meta(1, 4), Meta(1, 5), META_ZERO}) == 3
+
+    def test_repr_names_fields(self):
+        assert repr(Meta(1, 4)) == "Meta(total=1, tid=4)"
+        assert repr(META_ZERO) == "Meta(total=0, tid=None)"
+
+    def test_error_cases_build_nothing(self):
+        for args in ((-1,), (-1, 2), (0, 3), (0, 0)):
+            with pytest.raises(MetastateError):
+                Meta(*args)
+
+
+class TestAcquireResult:
+    def test_granted_for_each_verdict(self):
+        for verdict in AccessVerdict:
+            res = AcquireResult(verdict, META_ZERO)
+            assert res.granted == (verdict is AccessVerdict.GRANTED)
+
+    def test_granted_on_transition_outcomes(self):
+        assert acquire_read(META_ZERO, 4, T).granted
+        assert not acquire_read(Meta(T, 7), 4, T).granted
+        assert acquire_write(META_ZERO, 4, T).granted
+        assert not acquire_write(Meta(3, None), 4, T).granted
+
+    def test_defaults(self):
+        res = AcquireResult(AccessVerdict.GRANTED, Meta(1, 4))
+        assert res.acquired == 0
+        assert res.owner_hint is None
+
+    def test_equality_and_hash(self):
+        a = acquire_read(Meta(T, 7), 4, T)
+        b = AcquireResult(AccessVerdict.WRITER_CONFLICT, Meta(T, 7),
+                          owner_hint=7)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != AcquireResult(AccessVerdict.WRITER_CONFLICT,
+                                  Meta(T, 7), owner_hint=8)
+        assert a != AcquireResult(AccessVerdict.READER_CONFLICT,
+                                  Meta(T, 7), owner_hint=7)
+        assert acquire_read(META_ZERO, 4, T) == AcquireResult(
+            AccessVerdict.GRANTED, Meta(1, 4), acquired=1)
+
+    def test_repr_names_fields(self):
+        text = repr(acquire_write(META_ZERO, 4, T))
+        assert text.startswith("AcquireResult(verdict=")
+        assert "acquired=8" in text and "owner_hint=None" in text
 
 
 class TestAcquireRead:

@@ -41,6 +41,14 @@ class TestAppend:
         blocks = log.append(0x200, 8, True)
         assert len(blocks) == 3
 
+    def test_record_ending_on_block_boundary_touches_one_block(self):
+        log = TmLog(0)
+        touched = [log.append(0x100 + i, 1, False) for i in range(9)]
+        # Words 0..7 fill log block 0 exactly; word 8 opens block 1.
+        assert [len(blocks) for blocks in touched] == [1] * 9
+        assert touched[7] == touched[0]
+        assert touched[8][0] == touched[0][0] + 1
+
     def test_zero_token_record_rejected(self):
         log = TmLog(0)
         with pytest.raises(TransactionError):
@@ -111,3 +119,38 @@ class TestTokenCredits:
 def test_log_record_words_property():
     assert LogRecord(0x1, 1, False).words == READ_RECORD_WORDS
     assert LogRecord(0x1, 8, True).words == WRITE_RECORD_WORDS
+    assert LogRecord(0x1, 7, True).words == WRITE_RECORD_WORDS
+
+
+class TestLogRecord:
+    def test_equality_and_hash(self):
+        assert LogRecord(0xA, 1, False) == LogRecord(0xA, 1, False)
+        assert LogRecord(0xA, 1, False) != LogRecord(0xA, 1, True)
+        assert LogRecord(0xA, 1, False) != LogRecord(0xB, 1, False)
+        assert LogRecord(0xA, 7, True) != LogRecord(0xA, 8, True)
+        assert LogRecord(0xA, 1, False) != (0xA, 1, False)
+        assert (hash(LogRecord(0xA, 8, True))
+                == hash(LogRecord(0xA, 8, True)))
+        assert len({LogRecord(0xA, 1, False), LogRecord(0xA, 1, False),
+                    LogRecord(0xA, 8, True)}) == 2
+
+    def test_repr_names_fields(self):
+        assert (repr(LogRecord(16, 1, False))
+                == "LogRecord(block=16, tokens=1, is_write=False)")
+
+    def test_log_keeps_appended_records(self):
+        log = TmLog(0)
+        log.append(0xA, 1, False)
+        log.append(0xB, 8, True)
+        assert log.records == (LogRecord(0xA, 1, False),
+                               LogRecord(0xB, 8, True))
+        assert log.entry_count == 2
+
+
+def test_backward_walk_mirrors_forward_walk():
+    """Straddling records included, newest-first is oldest-first reversed."""
+    log = TmLog(3)
+    for i in range(40):
+        log.append(0x100 + i, 8 if i % 3 == 0 else 1, i % 3 == 0)
+    forward = list(log.walk_forward())
+    assert list(log.walk_backward()) == forward[::-1]
