@@ -10,7 +10,8 @@ simulated runs are expensive, so:
 * cells execute through a shared
   :class:`~repro.perf.runner.ParallelRunner`: set
   ``REPRO_BENCH_WORKERS=N`` to simulate on N processes and
-  ``REPRO_CACHE_DIR`` to persist cells across sessions (both off by
+  ``REPRO_LANDSCAPE=DB`` to record the session into that landscape
+  store and serve the cells it already finished (both off by
   default, so plain runs measure serial simulation);
 * tables print through ``capsys.disabled()`` so they appear in the
   captured benchmark log.
@@ -23,8 +24,7 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from repro.perf.cache import ENV_CACHE_DIR, ResultCache
-from repro.perf.runner import CellSpec, ParallelRunner
+from repro.perf.runner import CellSpec, ParallelRunner, stored_cells
 from repro.workloads import tm_workloads
 
 #: Seed used by every benchmark run (perturbed where CIs are needed).
@@ -63,16 +63,35 @@ def workloads():
 
 
 _RUNNER: Optional[ParallelRunner] = None
+_STORE = None
 
 
 def _bench_runner() -> ParallelRunner:
     """Session-shared cell runner, built lazily from the environment."""
-    global _RUNNER
+    global _RUNNER, _STORE
     if _RUNNER is None:
         workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0"))
-        cache = ResultCache() if os.environ.get(ENV_CACHE_DIR) else None
-        _RUNNER = ParallelRunner(workers=workers, cache=cache)
+        recorder = finished = None
+        db = os.environ.get("REPRO_LANDSCAPE")
+        if db:
+            from repro.landscape.store import LandscapeStore
+
+            _STORE = LandscapeStore(db)
+            recorder = _STORE.begin_run("grid", label="benchmarks",
+                                        seed=BENCH_SEED)
+            finished = stored_cells(_STORE)
+        _RUNNER = ParallelRunner(workers=workers, recorder=recorder,
+                                 finished=finished)
     return _RUNNER
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Reap the shared runner and close its landscape run, if any."""
+    if _RUNNER is not None:
+        _RUNNER.close()
+        if _RUNNER.recorder is not None:
+            _RUNNER.recorder.finish("ok" if exitstatus == 0 else "failed")
+            _STORE.close()
 
 
 def cached_cell(cache, workloads, name: str, variant: str,

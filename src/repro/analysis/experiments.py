@@ -159,8 +159,9 @@ def run_variants(workload: SyntheticTxnWorkload,
     """Run one workload across several variants on identical traces.
 
     ``runner`` (a :class:`repro.perf.runner.ParallelRunner`) fans the
-    variants out over worker processes and/or the result cache; the
-    default runs them inline.  Results are identical either way.
+    variants out over worker processes and/or serves them from a
+    landscape store; the default runs them inline.  Results are
+    identical either way.
     """
     if runner is not None:
         from repro.perf.runner import grid_specs  # local: avoids cycle

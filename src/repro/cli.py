@@ -37,18 +37,21 @@ Commands map one-to-one onto the paper's experiments:
 Every command takes ``--seed`` and (where it applies) ``--scale`` so
 results are reproducible and sized to taste.  The grid commands
 (``figure1``/``figure5``/``bench``) take ``--workers`` to fan cells
-out over processes, ``--cache-dir`` to reuse finished cells across
-invocations, and the supervision flags
+out over processes and the supervision flags
 (``--cell-timeout``/``--max-retries``/``--failure-policy``) to
 survive hung or dying workers (``docs/robustness.md``, "Surviving
 the host").
 
-``bench`` and ``chaos`` take ``--landscape DB`` to record every run
-(and every cell within it) into the durable result landscape
-(``docs/landscape.md``); ``audit`` and ``query`` read it back.  The
-landscape is also the chaos checkpoint: an interrupted campaign
-(``--max-cells`` or a signal) exits 3, and ``chaos --resume`` merges
-the cells its store already finished.  Each
+``figure1``, ``figure5``, ``bench`` and ``chaos`` take
+``--landscape DB`` to record every run (and every cell within it)
+into the durable result landscape (``docs/landscape.md``); ``audit``
+and ``query`` read it back.  The landscape is also the checkpoint:
+the figure verbs serve cells their store already finished instead of
+simulating them (so a killed grid resumes where it stopped), an
+interrupted chaos campaign (``--max-cells`` or a signal) exits 3, and
+``chaos --resume`` merges the cells its store already finished.
+``bench --landscape`` records but never reuses: it times
+simulation.  Each
 command's exit-code contract is spelled out in its ``--help`` epilog
 and collected in ``docs/robustness.md``.
 """
@@ -403,26 +406,26 @@ def _supervisor_from_args(args):
                             failure_policy=policy or FAIL_FAST)
 
 
-def _runner_from_args(args):
-    """Optional ParallelRunner built from ``--workers``/``--cache-dir``
-    and the supervision flags.
+def _runner_from_args(args, store=None, recorder=None):
+    """Optional ParallelRunner built from ``--workers``, the
+    supervision flags and an open landscape ``store`` (whose finished
+    cells it serves) with the run's ``recorder``.
 
     Returns None when none were given, so the default path stays
     import-free and inline.
     """
     workers = getattr(args, "workers", 0) or 0
-    cache_dir = getattr(args, "cache_dir", None)
     supervisor = _supervisor_from_args(args)
-    if not workers and not cache_dir and supervisor is None:
+    if not workers and supervisor is None and store is None:
         return None
-    from repro.perf.cache import ResultCache
-    from repro.perf.runner import ParallelRunner, default_workers
+    from repro.perf.runner import (ParallelRunner, default_workers,
+                                   stored_cells)
 
     if workers < 0:
         workers = default_workers()
-    cache = ResultCache(cache_dir) if cache_dir else None
-    return ParallelRunner(workers=workers, cache=cache,
-                          supervisor=supervisor)
+    return ParallelRunner(
+        workers=workers, supervisor=supervisor, recorder=recorder,
+        finished=stored_cells(store) if store is not None else None)
 
 
 def _print_incomplete(exc: IncompleteGridError) -> None:
@@ -435,23 +438,53 @@ def _print_incomplete(exc: IncompleteGridError) -> None:
 
 def _figure(args, variants, title: str) -> int:
     names = args.workloads or list(tm_workloads())
+    # Resolved up front: a bad name must fail before a run is recorded.
+    workloads = [_workload(name) for name in names]
     series = []
-    runner = _runner_from_args(args)
+    store = recorder = None
+    if args.landscape:
+        from repro.landscape.store import LandscapeStore, current_git_rev
+        from repro.perf.runner import CACHE_SCHEMA
+
+        try:
+            store = LandscapeStore(args.landscape)
+        except ConfigError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+        recorder = store.begin_run(
+            "grid", label=args.command, git_rev=current_git_rev(),
+            cache_schema=CACHE_SCHEMA, seed=args.seed,
+            provenance={"workloads": names, "scale": args.scale,
+                        "runs": args.runs})
+    runner = _runner_from_args(args, store=store, recorder=recorder)
+    status = "interrupted"
     try:
-        for name in names:
-            wl = _workload(name)
+        for name, wl in zip(names, workloads):
             scale = args.scale or DEFAULT_SCALES[name]
             series.append(figure_speedups(
                 wl, variants=variants, scale=scale, runs=args.runs,
                 seed=args.seed, runner=runner,
                 fast_path=not args.no_fastpath,
             ))
+        status = "ok"
     except IncompleteGridError as exc:
+        status = "failed"
         _print_incomplete(exc)
         return 1
+    except Exception:
+        status = "failed"
+        raise
     finally:
         if runner is not None:
             runner.close()
+        if recorder is not None:
+            metrics = runner.metrics
+            recorder.finish(status, metrics_snapshot=metrics.snapshot())
+            store.close()
+            print(f"{args.command}: "
+                  f"{metrics.counter('perf.simulated').value} cells "
+                  f"simulated, {metrics.counter('perf.cache_hits').value} "
+                  f"served from {args.landscape}", file=sys.stderr)
     print(format_speedup_figure(series, title))
     if args.runs > 1:
         print("\n95% confidence intervals:")
@@ -523,7 +556,7 @@ def cmd_bench(args) -> int:
             out=args.out, quick=args.quick, seed=args.seed,
             workers=workers,
             workload_names=args.workloads, variants=args.variants,
-            scale_factor=args.scale_factor, cache_dir=args.cache_dir,
+            scale_factor=args.scale_factor,
             compare_serial=args.compare_serial,
             fast_path=not args.no_fastpath,
             traces=not args.no_traces,
@@ -615,7 +648,7 @@ def cmd_chaos(args) -> int:
     store = recorder = None
     if db:
         from repro.landscape.store import LandscapeStore, current_git_rev
-        from repro.perf.cache import CACHE_SCHEMA
+        from repro.perf.runner import CACHE_SCHEMA
 
         try:
             store = LandscapeStore(db)
@@ -868,7 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="exit codes: 0 all invariants held; 1 invariant "
                "violations (or a --replay mismatch); 2 landscape store "
-               "unusable (newer schema than this build); 3 campaign "
+               "unusable (open read-write elsewhere, or a newer schema "
+               "than this build); 3 campaign "
                "interrupted (--max-cells or signal) — resumable with "
                "--resume from the --landscape store")
     chaos_p.add_argument("--workload", default="Cholesky",
@@ -995,7 +1029,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     for name, func in (("figure1", cmd_figure1), ("figure5", cmd_figure5)):
-        p = sub.add_parser(name, help=f"reproduce the paper's {name}")
+        p = sub.add_parser(
+            name, help=f"reproduce the paper's {name}",
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog="exit codes: 0 figure printed; 1 grid cells failed; "
+                   "2 --landscape store unusable (open read-write "
+                   "elsewhere, or a newer schema than this build)")
         p.add_argument("--workloads", nargs="*", default=None)
         p.add_argument("--scale", type=float, default=None)
         p.add_argument("--seed", type=int, default=2008)
@@ -1004,8 +1043,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=0,
                        help="worker processes (0 = inline, "
                             "-1 = one per CPU)")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="reuse finished cells from this cache")
+        p.add_argument("--landscape", metavar="DB", default=None,
+                       help="record the run into this landscape store "
+                            "and serve the cells it already finished "
+                            "(a killed run resumes; docs/landscape.md)")
         p.add_argument("--no-fastpath", action="store_true",
                        help="disable the memory-system access filters "
                             "(results are identical; for verification)")
@@ -1020,7 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 bench complete (and within tolerance "
                "when --baseline is given); 1 grid cells failed or a "
                "regression exceeded the tolerance; 2 --landscape store "
-               "unusable (newer schema than this build).  A missing, "
+               "unusable (open read-write elsewhere, or a newer schema "
+               "than this build).  A missing, "
                "truncated, or invalid baseline file warns and skips "
                "the comparison — it never fails the run.")
     bench_p.add_argument("--out", metavar="FILE", default="BENCH_perf.json")
@@ -1034,9 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--variants", nargs="*", default=None)
     bench_p.add_argument("--scale-factor", type=float, default=1.0,
                          help="multiply every workload's grid scale")
-    bench_p.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="cell cache directory (off by default "
-                              "so timings measure simulation)")
     bench_p.add_argument("--compare-serial", action="store_true",
                          help="also time the grid serially and check "
                               "parallel results are identical")
@@ -1064,8 +1103,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--landscape", metavar="DB", default=None,
                          help="record this run (payload, provenance, "
                               "one work row per section and grid cell) "
-                              "into this landscape store "
-                              "(docs/landscape.md)")
+                              "into this landscape store; stored cells "
+                              "are never reused (docs/landscape.md)")
     _add_supervision_flags(bench_p)
     bench_p.set_defaults(func=cmd_bench)
 
@@ -1077,8 +1116,9 @@ def build_parser() -> argparse.ArgumentParser:
                "heal-on-reopen of a crashed writer's store); 1 ledger "
                "violations found (orphans, double commits, torn "
                "rows); 2 store missing, unreadable (an unreadable "
-               "store is quarantined to <db>.corrupt) or of a newer "
-               "schema than this build")
+               "store is quarantined to <db>.corrupt), of a newer "
+               "schema than this build, or (read-write) open "
+               "read-write elsewhere")
     audit_p.add_argument("db", nargs="?", default="landscape.db",
                          help="landscape store to audit "
                               "(default: landscape.db)")

@@ -15,7 +15,7 @@ the provenance needed to trust them later:
 ``work``
     One row per unit of work, inserted when the unit is *dispatched*
     (the debit side of the ledger).  Keyed by the unit's full
-    result-determining content: the :func:`~repro.perf.cache.cell_key`
+    result-determining content: the :func:`~repro.perf.runner.cell_key`
     content hash for grid cells, the
     :func:`~repro.faults.campaign.campaign_cell_key` for chaos cells,
     the section name for bench sections — plus per-unit provenance
@@ -25,10 +25,11 @@ the provenance needed to trust them later:
     NULL.
 ``outcomes``
     One row per *terminal* outcome (the credit side): ``ok`` /
-    ``failed`` / ``quarantined`` / ``interrupted``.  A chaos cell's
-    ``ok``/``failed`` close also carries its ``result`` (canonical
-    JSON of the error and bundle path), which is what
-    ``repro chaos --resume`` merges back.  The ledger
+    ``failed`` / ``quarantined`` / ``interrupted``.  A grid cell's
+    ``ok`` close also carries its ``result`` (canonical JSON of the
+    ``Cell``), which later grid runs serve instead of simulating; a
+    chaos cell's ``ok``/``failed`` close carries the error and bundle
+    path, which is what ``repro chaos --resume`` merges back.  The ledger
     invariant — **every work row has exactly one outcome row** — is
     deliberately *not* a UNIQUE constraint: like TokenTM's token
     books, the invariant is enforced by an auditor
@@ -37,7 +38,8 @@ the provenance needed to trust them later:
     impossible to represent.
 ``events``
     Non-terminal happenings along the way: retries, timeouts, worker
-    deaths, cache quarantines, heals.  Events never close work; they
+    deaths, quarantines of stored results that do not decode, heals.
+    Events never close work; they
     explain the path a unit took to its one terminal outcome.
 
 Schema versioning rides sqlite's ``user_version`` pragma.  Bump
@@ -74,8 +76,7 @@ WORK_KINDS = (WORK_CELL, WORK_CHAOS_CELL, WORK_BENCH_SECTION)
 #: ``ok``           finished and its result is trustworthy;
 #: ``failed``       finished by failing (exhausted retries, invariant
 #:                  violation, raised) — the failure is the result;
-#: ``quarantined``  its result was discarded as corrupt/untrusted
-#:                  (e.g. a poisoned cache entry backed the unit);
+#: ``quarantined``  its result was discarded as corrupt/untrusted;
 #: ``interrupted``  never finished — budget interruption, signal, or
 #:                  healed after a crash left the row open.
 OUTCOME_OK = "ok"

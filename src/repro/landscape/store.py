@@ -9,18 +9,20 @@ Durability model (mirrors docs/landscape.md):
   tear.  (The *ledger* can still be torn — a process can die between
   opening work and closing it — which is exactly what the audit and
   heal-on-reopen exist to handle.)
-* **Single-writer discipline** — at most one read-write
-  :class:`LandscapeStore` is open per database.  Opening read-write
-  therefore implies any previous writer is dead, which makes
-  heal-on-reopen sound: every ``open`` run found at open belongs to
-  a crashed process and is closed as ``interrupted`` with
-  ``healed=1`` (its outcome-less work rows likewise).
+* **Single writer, enforced** — a read-write :class:`LandscapeStore`
+  holds an exclusive ``flock`` on ``<path>.lock`` until ``close()``;
+  a second read-write open raises
+  :class:`~repro.common.errors.ConfigError`.  The kernel drops the
+  lock when its holder dies, so holding it proves any previous writer
+  is dead, which makes heal-on-reopen sound: every ``open`` run found
+  at open belongs to a crashed process and is closed as
+  ``interrupted`` with ``healed=1`` (its outcome-less work rows
+  likewise).  Read-only opens take no lock.
 * **Corrupt-db quarantine** — if sqlite reports the file is not a
   database or ``quick_check`` fails, the bytes move aside to
   ``<path>.corrupt`` (with any ``-wal``/``-shm`` companions) and a
-  fresh store starts, mirroring ResultCache's ``.pkl.corrupt``
-  policy: results are reproducible, evidence of corruption is not —
-  keep the evidence, free the slot.
+  fresh store starts: results are reproducible, evidence of
+  corruption is not — keep the evidence, free the slot.
 * **Schema versioning** — ``PRAGMA user_version`` holds
   :data:`~repro.landscape.schema.LANDSCAPE_SCHEMA`; older databases
   migrate forward at open (each step + the version bump in one
@@ -35,6 +37,7 @@ store; once they do, writes are load-bearing.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sqlite3
@@ -42,7 +45,7 @@ import subprocess
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError, ReproError
 from repro.landscape.schema import (
@@ -58,6 +61,22 @@ from repro.landscape.schema import (
     WORK_KINDS,
 )
 from repro.obs.metrics import LANDSCAPE_COUNTERS
+
+
+#: Writer-lock descriptors held by this process's open stores.
+_LOCK_FDS: Set[int] = set()
+
+
+def _drop_inherited_locks() -> None:
+    """Close a forked child's copies of its parent's writer locks: a
+    ``flock`` lives until every descriptor sharing it is closed, so a
+    pool worker orphaned by a killed grid would otherwise keep it."""
+    for fd in _LOCK_FDS:
+        os.close(fd)
+    _LOCK_FDS.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_locks)
 
 
 class LedgerError(ReproError):
@@ -106,15 +125,15 @@ class LandscapeStore:
     ----------
     path:
         Database file; parent directories are created.  The
-        conventional location is ``<cache-dir>/landscape.db`` but any
-        path works.
+        conventional location is ``landscape.db`` in the working
+        directory, but any path works.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`;
         ``landscape.*`` counters are pre-registered and published
         there.
     readonly:
         Open for audit/query without healing, migrating, or taking
-        the writer slot.  A missing file raises
+        the writer lock.  A missing file raises
         :class:`~repro.common.errors.ConfigError` (there is nothing
         to read) instead of creating an empty store.
     """
@@ -125,6 +144,8 @@ class LandscapeStore:
         self.readonly = readonly
         self.quarantined = 0
         self.healed_runs = 0
+        self._conn = None
+        self._lock_fd: Optional[int] = None
         if metrics is not None:
             for name in LANDSCAPE_COUNTERS:
                 metrics.counter(name)
@@ -135,9 +156,28 @@ class LandscapeStore:
             self._check_version(self._user_version())
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._conn = self._open_rw()
+            self._take_writer_lock()
+            try:
+                self._conn = self._open_rw()
+            except BaseException:
+                self.close()
+                raise
 
     # -- opening / integrity ------------------------------------------
+
+    def _take_writer_lock(self) -> None:
+        lock_path = f"{self.path}.lock"
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise ConfigError(
+                f"landscape store {self.path} is open read-write "
+                f"elsewhere (writer lock {lock_path} is held)"
+            ) from None
+        self._lock_fd = fd
+        _LOCK_FDS.add(fd)
 
     def _open_readonly(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
@@ -190,7 +230,7 @@ class LandscapeStore:
 
     def _quarantine_db(self) -> None:
         """Move the unreadable database (and WAL companions) aside to
-        ``<path>.corrupt``, mirroring ResultCache's policy."""
+        ``<path>.corrupt``."""
         for suffix in ("", "-wal", "-shm"):
             src = Path(str(self.path) + suffix)
             if not src.exists():
@@ -246,7 +286,7 @@ class LandscapeStore:
     def _heal(self, conn: sqlite3.Connection) -> None:
         """Close runs (and their outcome-less work) left ``open`` by a
         dead writer.  Sound because the store is single-writer: if we
-        hold the read-write slot, nobody else is mid-run."""
+        hold the writer lock, nobody else is mid-run."""
         now = time.time()
         open_runs = conn.execute(
             "SELECT id FROM runs WHERE status = ?", (RUN_OPEN,)
@@ -474,6 +514,10 @@ class LandscapeStore:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+        if self._lock_fd in _LOCK_FDS:
+            _LOCK_FDS.discard(self._lock_fd)
+            os.close(self._lock_fd)  # releases the flock
+        self._lock_fd = None
 
     def __enter__(self) -> "LandscapeStore":
         return self
@@ -504,7 +548,8 @@ class RunRecorder:
         return work_id
 
     def close(self, work_id: int, outcome: str,
-              detail: Optional[str] = None) -> None:
+              detail: Optional[str] = None,
+              result: Optional[Dict] = None) -> None:
         for pair, wid in list(self._open.items()):
             if wid == work_id:
                 del self._open[pair]
@@ -514,7 +559,7 @@ class RunRecorder:
                 f"work {work_id} is not open in this recorder "
                 f"(double close, or never opened here)"
             )
-        self.store.close_work(work_id, outcome, detail)
+        self.store.close_work(work_id, outcome, detail, result=result)
 
     def close_key(self, kind: str, key: str, outcome: str,
                   detail: Optional[str] = None,
@@ -535,9 +580,6 @@ class RunRecorder:
               key: Optional[Tuple[str, str]] = None) -> None:
         work_id = self._open.get(key) if key is not None else None
         self.store.event(self.run_id, kind, detail, work_id)
-
-    def open_keys(self) -> Iterable[Tuple[str, str]]:
-        return tuple(self._open)
 
     def finish(self, status: str, metrics_snapshot: Optional[Dict] = None,
                payload: Optional[Dict] = None) -> None:

@@ -1,15 +1,13 @@
-"""Performance engine: parallel grid execution, result caching, and
-benchmarking.
+"""Performance engine: parallel grid execution and benchmarking.
 
 The paper's evaluation grid is embarrassingly parallel — every cell
 (workload, variant, seed) runs on a fresh simulated machine — so this
-package fans cells out over worker processes and caches finished
-cells on disk keyed by the full cell content (spec, configs, seed,
-scale).  See ``docs/performance.md``.
+package fans cells out over worker processes.  Finished cells are
+kept in the landscape store, keyed by the full cell content (spec,
+configs, seed, scale).  See ``docs/performance.md``.
 
-* :mod:`repro.perf.cache` — content-hashed on-disk result cache
-  (corrupt entries quarantined, never fatal);
-* :mod:`repro.perf.runner` — :class:`ParallelRunner`, the grid engine;
+* :mod:`repro.perf.runner` — :class:`ParallelRunner`, the grid engine,
+  and :func:`cell_key`, a cell's content hash;
 * :mod:`repro.perf.supervise` — the supervision layer: per-cell
   timeouts, retries with backoff, failure policies, pool rebuilding,
   :class:`RunReport` failure records, and the SIGINT/SIGTERM unwind
@@ -18,8 +16,7 @@ scale).  See ``docs/performance.md``.
   ``BENCH_perf.json``.
 """
 
-from repro.perf.cache import ResultCache, cell_key
-from repro.perf.runner import CellSpec, ParallelRunner, grid_specs
+from repro.perf.runner import CellSpec, ParallelRunner, cell_key, grid_specs
 from repro.perf.supervise import (
     CellFailure,
     RunReport,
@@ -31,7 +28,6 @@ __all__ = [
     "CellFailure",
     "CellSpec",
     "ParallelRunner",
-    "ResultCache",
     "RunReport",
     "SupervisorConfig",
     "cell_key",

@@ -11,7 +11,7 @@ Measures two things and writes both to ``BENCH_perf.json``:
   identical repeat-access-heavy transaction mix, with an
   identical-statistics cross-check.
 
-Schema of ``BENCH_perf.json`` (``repro-bench-perf/10``, documented in
+Schema of ``BENCH_perf.json`` (``repro-bench-perf/11``, documented in
 ``docs/performance.md``):
 
 ``schema``        schema identifier string;
@@ -19,9 +19,8 @@ Schema of ``BENCH_perf.json`` (``repro-bench-perf/10``, documented in
                   per-workload scales;
 ``grid``          ``wall_seconds`` for the whole grid plus ``cells``,
                   each with workload, variant, seed, scale,
-                  trace_ops, wall_seconds (null when the cache
-                  answered), sim_ops_per_sec, makespan, commits,
-                  aborts, cache_hit;
+                  trace_ops, wall_seconds, sim_ops_per_sec,
+                  makespan, commits, aborts;
 ``totals``        summed trace_ops / wall and aggregate ops/sec;
 ``membench``      accesses, rounds, unfiltered/filtered ops-per-sec,
                   ``speedup``, ``identical_stats``, and the filtered
@@ -29,8 +28,8 @@ Schema of ``BENCH_perf.json`` (``repro-bench-perf/10``, documented in
 ``parallel``      optional serial-vs-parallel wall comparison
                   (``--compare-serial``) with a ``byte_identical``
                   stats check;
-``metrics``       the runner's metrics-registry snapshot (cache
-                  hits/misses, cells simulated, workers) merged with
+``metrics``       the runner's metrics-registry snapshot (cells
+                  simulated, workers, supervision counters) merged with
                   the membench's ``perf.fastpath.*`` counters.
 
 Simulated-ops/sec counts *trace* operations retired per wall second;
@@ -58,7 +57,6 @@ from repro.common.errors import ConfigError, IncompleteGridError
 from repro.coherence.protocol import MemorySystem
 from repro.htm import make_htm
 from repro.obs.metrics import publish_fastpath
-from repro.perf.cache import ResultCache
 from repro.perf.runner import CellSpec, ParallelRunner
 from repro.perf.supervise import FAIL_FAST, SupervisorConfig
 from repro.traces.workload import TraceWorkloadSpec, fixture_workloads
@@ -92,7 +90,11 @@ from repro.workloads import tm_workloads
 #: metrics: ``interp`` is the only hot loop.
 #: /10: dropped ``microbench`` and ``faultbench``, which timed frozen
 #: copies of old executor loops; ``membench`` is the one ratio left.
-BENCH_SCHEMA = "repro-bench-perf/10"
+#: /11: dropped ``config.cache_dir`` and the per-row ``cache_hit``: the
+#: bench simulates every cell it times (``--landscape`` records but
+#: never reuses), so ``wall_seconds`` is never null for a finished
+#: cell.
+BENCH_SCHEMA = "repro-bench-perf/11"
 
 #: Default output path, at the repo root like the other BENCH files.
 DEFAULT_OUT = "BENCH_perf.json"
@@ -147,7 +149,6 @@ def _grid_cells_payload(specs: Sequence[CellSpec], cells: Sequence[Cell],
             "makespan": stats.makespan,
             "commits": stats.commits,
             "aborts": stats.aborts,
-            "cache_hit": wall is None,
         }
         if isinstance(spec.workload, TraceWorkloadSpec):
             row["trace"] = True
@@ -156,7 +157,6 @@ def _grid_cells_payload(specs: Sequence[CellSpec], cells: Sequence[Cell],
 
 
 def run_grid(specs: Sequence[CellSpec], workers: int = 0,
-             cache: Optional[ResultCache] = None,
              supervisor: Optional[SupervisorConfig] = None,
              recorder=None):
     """Run a grid through the runner.
@@ -170,10 +170,11 @@ def run_grid(specs: Sequence[CellSpec], workers: int = 0,
     :class:`~repro.common.errors.IncompleteGridError`, with the pool
     reaped either way.  ``recorder`` threads a landscape
     :class:`~repro.landscape.store.RunRecorder` through to the runner
-    so every cell becomes a ledger entry.
+    so every cell becomes a ledger entry (with its result stored); a
+    benchmark must simulate what it times, so stored cells are never
+    reused here.
     """
-    with ParallelRunner(workers=workers, cache=cache,
-                        supervisor=supervisor,
+    with ParallelRunner(workers=workers, supervisor=supervisor,
                         recorder=recorder) as runner:
         start = time.perf_counter()
         try:
@@ -194,7 +195,7 @@ def run_grid(specs: Sequence[CellSpec], workers: int = 0,
 
 def compare_serial_parallel(specs: Sequence[CellSpec],
                             workers: int) -> Dict:
-    """Time the same (uncached) grid serially and with ``workers``.
+    """Time the same grid serially and with ``workers``.
 
     Also cross-checks that both runs produced identical statistics —
     the determinism contract the parallel engine must keep.
@@ -429,7 +430,7 @@ def bench_specs(quick: bool = False, seed: int = 2008,
     With ``traces`` (the default) the committed fixture event traces
     are appended as replay cells — transactified, at their recorded
     size (``scale`` pinned to 1.0, which the trace workload ignores
-    but the cache key records).  ``--quick`` keeps one fixture.
+    but the cell key records).  ``--quick`` keeps one fixture.
     """
     registry = tm_workloads()
     if workload_names is None:
@@ -463,7 +464,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
               workload_names: Optional[Sequence[str]] = None,
               variants: Optional[Sequence[str]] = None,
               scale_factor: float = 1.0,
-              cache_dir: Optional[str] = None,
               compare_serial: bool = False,
               fast_path: bool = True,
               traces: bool = True,
@@ -480,9 +480,11 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
     ``landscape`` (a database path) records the whole run into the
     result landscape: a ``bench`` run row carrying the full payload
     and provenance (git rev, schema versions, seed), one work
-    row per section (plus one per grid cell via the runner), each
-    closed at its terminal outcome.  ``None`` (the default) keeps the
-    run byte-identical to a landscape-free build.
+    row per section (plus one per grid cell via the runner, carrying
+    the cell's result), each closed at its terminal outcome.  Cells
+    the store already holds are simulated again: the bench times
+    simulation.  ``None`` (the default) keeps the run byte-identical
+    to a landscape-free build.
     """
     selected = set(only or BENCH_SECTIONS)
     unknown = sorted(selected - set(BENCH_SECTIONS))
@@ -500,7 +502,7 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
     recorder = None
     if landscape is not None:
         from repro.landscape.store import LandscapeStore, current_git_rev
-        from repro.perf.cache import CACHE_SCHEMA
+        from repro.perf.runner import CACHE_SCHEMA
 
         store = LandscapeStore(landscape)
         recorder = store.begin_run(
@@ -526,10 +528,9 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
 
     try:
         if grid_on:
-            cache = ResultCache(cache_dir) if cache_dir else None
             grid, metrics = section("grid", lambda: run_grid(
-                specs, workers=workers, cache=cache,
-                supervisor=supervisor, recorder=recorder))
+                specs, workers=workers, supervisor=supervisor,
+                recorder=recorder))
         else:
             grid, metrics = None, {}
         mem_payload = None
@@ -567,7 +568,6 @@ def run_bench(out: str = DEFAULT_OUT, quick: bool = False,
                 "workers": workers,
                 "quick": quick,
                 "fast_path": fast_path,
-                "cache_dir": cache_dir,
                 "scales": scales,
                 "traces": sorted({s.workload.name for s in specs
                                   if isinstance(s.workload,
@@ -640,7 +640,4 @@ def format_bench_summary(payload: Dict) -> str:
             f"(speedup {par['speedup']:.2f}x, "
             f"identical={par['byte_identical']})"
         )
-    hits = payload["metrics"].get("perf.cache_hits", {}).get("value", 0)
-    if hits:
-        lines.append(f"cache: {hits} hits")
     return "\n".join(lines)

@@ -5,13 +5,13 @@ seed) at some scale on some machine configuration — simulates on a
 fresh machine with no shared state, so the grid is embarrassingly
 parallel.  :class:`ParallelRunner` runs cells through a
 ``ProcessPoolExecutor``, preserves submission order in its results,
-consults an optional :class:`~repro.perf.cache.ResultCache` before
-simulating, and publishes progress/cache counters through an
-:class:`~repro.obs.metrics.MetricsRegistry`:
+serves cells a landscape store already finished (:func:`stored_cells`)
+instead of simulating them, and publishes progress counters through
+an :class:`~repro.obs.metrics.MetricsRegistry`:
 
 ``perf.cells``        cells requested
-``perf.cache_hits``   cells served from the on-disk cache
-``perf.cache_misses`` cells that had to simulate (cache attached)
+``perf.cache_hits``   cells served from the landscape store
+``perf.cache_misses`` cells that had to simulate (store attached)
 ``perf.simulated``    cells actually simulated
 ``perf.workers``      (gauge) configured worker count
 
@@ -29,7 +29,7 @@ the same registry:
 ``perf.timeouts``      cells killed for exceeding their budget
 ``perf.worker_deaths`` pool breakages survived (worker OOM/SIGKILL)
 ``perf.cells_failed``  cells that exhausted their retry budget
-``perf.cache_corrupt`` cache entries quarantined as unreadable
+``perf.cache_corrupt`` stored results that did not decode (re-simulated)
 
 Determinism: a cell's result depends only on its :class:`CellSpec`
 content — the seed rides in the spec, workers receive the spec by
@@ -41,7 +41,9 @@ completion order, or retry history (asserted by
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import os
 import signal as _signal
 import time
@@ -49,7 +51,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.analysis.experiments import Cell, run_cell
 from repro.common.config import HTMConfig, SystemConfig
@@ -57,7 +60,6 @@ from repro.common.errors import IncompleteGridError
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import PERF_RESILIENCE_COUNTERS, MetricsRegistry
-from repro.perf.cache import ResultCache, cell_key
 from repro.perf.supervise import (
     CONTINUE,
     DEGRADE_TO_SERIAL,
@@ -69,6 +71,7 @@ from repro.perf.supervise import (
     RunReport,
     SupervisorConfig,
 )
+from repro.runtime.stats import ReleaseBucket, RunStats
 from repro.traces.workload import TraceWorkload, TraceWorkloadSpec
 from repro.workloads.base import SyntheticTxnWorkload, TxnWorkloadSpec
 
@@ -83,10 +86,10 @@ class CellSpec:
 
     Carries the workload *spec* (a frozen value object), not the
     generator, so the whole thing pickles cheaply to workers and
-    hashes stably for the cache key.  Trace-backed cells carry a
+    hashes stably for :func:`cell_key`.  Trace-backed cells carry a
     :class:`~repro.traces.workload.TraceWorkloadSpec`: the trace file
-    digest and converter options are the cache identity, so editing a
-    trace in place invalidates exactly its cells.
+    digest and converter options are the cell's identity, so editing
+    a trace in place invalidates exactly its stored cells.
     """
 
     workload: WorkloadSpec
@@ -97,20 +100,20 @@ class CellSpec:
     system: SystemConfig = field(default_factory=SystemConfig)
     htm: HTMConfig = field(default_factory=HTMConfig)
     #: Results are provably identical either way, but the flag stays
-    #: in the cache key so a --no-fastpath verification run never
-    #: gets answered from a fast-path cache entry (and vice versa).
+    #: in the cell key so a --no-fastpath verification run never
+    #: gets answered from a fast-path result (and vice versa).
     fast_path: bool = True
     #: Canonical JSON of the injected fault plan (None = clean run).
-    #: Faults perturb results, so this is cache-key material: a chaos
-    #: cell can never be answered from a clean run's entry, nor a
-    #: clean cell from a chaos entry.
+    #: Faults perturb results, so this is key material: a chaos cell
+    #: can never be answered from a clean run's result, nor a clean
+    #: cell from a chaos result.
     faults: Optional[str] = None
     #: Run the invariant monitor (adds a ``monitor`` stats section,
     #: hence also key material).
     monitor: bool = False
 
     def payload(self) -> Dict[str, object]:
-        """Key material for :func:`repro.perf.cache.cell_key`."""
+        """Key material for :func:`cell_key`."""
         return {
             "workload": self.workload,
             "variant": self.variant,
@@ -129,6 +132,75 @@ class CellSpec:
         if self.faults is None:
             return None
         return FaultPlan.from_canonical(self.faults)
+
+
+#: Version folded into every :func:`cell_key`.  Bump on behavioural
+#: changes the key payload cannot see (e.g. executor semantics).
+#: 2: ``fast_path``; 3: ``faults``/``monitor``; 4: trace workloads and
+#: SIGNAL/WAIT ops; 5: ``kernel``; 6: ``kernel`` dropped.
+CACHE_SCHEMA = 6
+
+
+def _canonical(obj: Any) -> Any:
+    """Recursively reduce dataclasses/containers to JSON-able values."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _canonical(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"cannot canonicalize {type(obj).__name__} for cell key")
+
+
+def cell_key(spec: CellSpec) -> str:
+    """Content hash (hex) of one grid cell: any change to a knob that
+    affects results — a latency constant, a signature geometry, the
+    scale — changes the key, so a stored result never answers for
+    another cell."""
+    canonical = {"cache_schema": CACHE_SCHEMA,
+                 **_canonical(spec.payload())}
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _exact(cls, data: Mapping, **nested):
+    """``cls(**data)`` if ``data`` names exactly ``cls``'s fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    if not isinstance(data, dict) or set(data) != names:
+        raise ValueError(f"stored fields do not match {cls.__name__}")
+    return cls(**{**data, **nested})
+
+
+def decode_cell(text: str) -> Cell:
+    """Inverse of ``json.dumps(dataclasses.asdict(cell))``.  Raises on
+    truncated JSON or a field set that differs from this build's
+    classes: a missing field must not come back silently defaulted."""
+    data = json.loads(text)
+    stats = data["stats"]
+    return _exact(Cell, data, stats=_exact(
+        RunStats, stats,
+        fast=_exact(ReleaseBucket, stats["fast"]),
+        software=_exact(ReleaseBucket, stats["software"])))
+
+
+def stored_cells(store) -> Dict[str, Optional[Cell]]:
+    """``{cell_key: Cell}`` of the grid cells a read-write landscape
+    ``store`` closed ``ok`` (newest result per key).  Failed,
+    interrupted and healed cells carry no result, so they re-run.  A
+    result that does not decode maps to ``None``, which the runner
+    counts, records as ``cache_quarantine`` and re-simulates."""
+    cells: Dict[str, Optional[Cell]] = {}
+    for key, row in store.finished_results("cell").items():
+        if row["outcome"] != "ok":
+            continue
+        try:
+            cells[key] = decode_cell(row["result"])
+        except Exception:
+            cells[key] = None
+    return cells
 
 
 def grid_specs(workloads: Iterable[Union[SyntheticTxnWorkload,
@@ -170,13 +242,19 @@ def _work_provenance(spec: CellSpec) -> Dict[str, object]:
             spec.faults.encode("utf-8")).hexdigest()[:16]
     digest = spec.workload.digest \
         if isinstance(spec.workload, TraceWorkloadSpec) else None
-    return {
+    prov = {
         "workload": spec.workload.name,
         "variant": spec.variant,
         "seed": spec.seed,
         "fault_plan": plan_hash,
         "trace_digest": digest,
     }
+    if not -2 ** 63 <= spec.seed < 2 ** 63:
+        # Perturbed figure seeds are unsigned 64-bit, past sqlite's
+        # INTEGER range: the row's JSON provenance carries them.
+        prov["seed"] = None
+        prov["provenance"] = {"seed": spec.seed}
+    return prov
 
 
 def _simulate(spec: CellSpec) -> Tuple[Cell, float]:
@@ -219,7 +297,7 @@ class _Attempt:
 
 
 class ParallelRunner:
-    """Runs grid cells, optionally in parallel, cached, and supervised.
+    """Runs grid cells, optionally in parallel, stored, and supervised.
 
     ``workers <= 1`` executes inline (no pool, no pickling) — the
     reference serial path.  ``workers > 1`` keeps a lazily created
@@ -235,20 +313,24 @@ class ParallelRunner:
     :class:`~repro.perf.supervise.RunReport` (also kept on
     :attr:`last_report`) and the partial results.
 
+    ``finished`` (:func:`stored_cells`) maps cells a landscape store
+    already finished: those are served, not simulated, and every cell
+    this runner simulates joins the map.
+
     ``simulate`` swaps the worker body for a picklable callable with
     :func:`_simulate`'s signature — the fault-injection hook the
     supervision tests use; production paths leave it None.
     """
 
     def __init__(self, workers: int = 0,
-                 cache: Optional[ResultCache] = None,
+                 finished: Optional[Dict[str, Optional[Cell]]] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  supervisor: Optional[SupervisorConfig] = None,
                  simulate=None, recorder=None):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
-        self.cache = cache
+        self.finished = finished
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.gauge("perf.workers").set(workers)
         for name in PERF_RESILIENCE_COUNTERS:
@@ -258,18 +340,14 @@ class ParallelRunner:
         self._simulate_fn = simulate
         #: Optional :class:`~repro.landscape.store.RunRecorder`: when
         #: set, every cell becomes a ledger entry — opened at
-        #: dispatch, closed at its terminal outcome, with
+        #: dispatch, closed at its terminal outcome (an ``ok`` close
+        #: stores the cell as its ``result``), with
         #: retries/timeouts/worker deaths as non-terminal events.
         #: ``None`` (the default) keeps the runner byte-identical to
         #: a landscape-free build.
         self.recorder = recorder
-        if cache is not None and cache.metrics is None:
-            cache.metrics = self.metrics
-        if cache is not None and recorder is not None \
-                and cache.recorder is None:
-            cache.recorder = recorder
         #: Wall seconds per cell of the most recent :meth:`run_cells`
-        #: call (None where the cache answered); for bench harnesses.
+        #: call (None where the store answered); for bench harnesses.
         self.last_wall_seconds: List[Optional[float]] = []
         #: Supervision record of the most recent :meth:`run_cells`.
         self.last_report: RunReport = RunReport()
@@ -296,22 +374,25 @@ class ParallelRunner:
         pending: List[_Attempt] = []
         for index, spec in enumerate(specs):
             key = None
-            if self.cache is not None or self.recorder is not None:
+            if self.finished is not None or self.recorder is not None:
                 key = cell_key(spec)
             work_id = None
             if self.recorder is not None:
                 work_id = self.recorder.open(
                     "cell", key, **_work_provenance(spec))
-            if self.cache is not None:
-                hit = self.cache.get(key)
+            if self.finished is not None:
+                hit = self.finished.get(key)
                 if hit is not None:
                     self.metrics.counter("perf.cache_hits").inc()
                     results[index] = hit
                     report.completed += 1
                     if work_id is not None:
-                        self.recorder.close(work_id, "ok",
-                                            detail="served from cache")
+                        self.recorder.close(
+                            work_id, "ok", detail="served from landscape",
+                            result=dataclasses.asdict(hit))
                     continue
+                if key in self.finished:
+                    self._quarantine(key)
                 self.metrics.counter("perf.cache_misses").inc()
             task = _Attempt(index, spec, key)
             task.work_id = work_id
@@ -399,9 +480,8 @@ class ParallelRunner:
                 self._record_failure(task, exc, FATE_RAISED, queue,
                                      report, results)
             else:
-                self._finish(task.index, task.spec, task.key, cell,
-                             wall, results, walls, report,
-                             work_id=task.work_id)
+                self._finish(task.index, task.key, cell, wall, results,
+                             walls, report, work_id=task.work_id)
 
     def _run_pooled(self, queue: List[_Attempt], results, walls,
                     report: RunReport) -> None:
@@ -461,8 +541,8 @@ class ParallelRunner:
                     self._record_failure(task, exc, FATE_RAISED, queue,
                                          report, results)
                 else:
-                    self._finish(task.index, task.spec, task.key, cell,
-                                 wall, results, walls, report,
+                    self._finish(task.index, task.key, cell, wall,
+                                 results, walls, report,
                                  work_id=task.work_id)
             if broke:
                 self._survive_pool_break(queue, running, report, results)
@@ -563,7 +643,7 @@ class ParallelRunner:
                                  report, results)
         queue.clear()
 
-    def _finish(self, index, spec, key, cell, wall, results, walls,
+    def _finish(self, index, key, cell, wall, results, walls,
                 report: Optional[RunReport] = None,
                 work_id=None) -> None:
         self.metrics.counter("perf.simulated").inc()
@@ -571,10 +651,22 @@ class ParallelRunner:
         walls[index] = wall
         if report is not None:
             report.completed += 1
-        if self.cache is not None and key is not None:
-            self.cache.put(key, cell, sidecar=spec.payload())
+        if self.finished is not None:
+            self.finished[key] = cell
         if work_id is not None:
-            self.recorder.close(work_id, "ok", detail="simulated")
+            self.recorder.close(work_id, "ok", detail="simulated",
+                                result=dataclasses.asdict(cell))
+
+    def _quarantine(self, key: str) -> None:
+        """A stored result for ``key`` did not decode: count it and
+        record it; the cell then re-simulates and its fresh ``ok``
+        row supersedes the bad one."""
+        self.metrics.counter("perf.cache_corrupt").inc()
+        if self.recorder is not None:
+            self.recorder.event(
+                "cache_quarantine",
+                "stored result does not decode; re-simulating",
+                key=("cell", key))
 
     # ------------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 The grids that matter are big: thousands of cells, hours of wall
 clock.  At that scale host-level failures are routine — a worker
 process OOM-killed mid-cell, a pathological configuration that hangs
-a simulation, a cache entry truncated by a full disk, a SIGTERM from
+a simulation, a stored result truncated by a full disk, a SIGTERM from
 a batch scheduler at cell 900/1000.  This module gives
 :class:`~repro.perf.runner.ParallelRunner` and ``repro chaos`` the
 machinery to survive all of those without giving up determinism:

@@ -29,7 +29,22 @@ def _bench_store(db, speedups, schema9=False):
             rec.finish("ok", payload=payload)
 
 
-@pytest.mark.parametrize("verb", ["chaos", "bench", "audit"])
+def _store_verb(verb, db, tmp_path):
+    """argv of a verb that opens ``db`` read-write."""
+    return {
+        "chaos": ["chaos", "--variants", "tokentm", "--seeds", "1",
+                  "--scale", "0.002", "--no-shrink",
+                  "--landscape", str(db)],
+        "bench": ["bench", "--quick", "--only", "membench",
+                  "--out", str(tmp_path / "b.json"),
+                  "--landscape", str(db)],
+        "audit": ["audit", str(db)],
+        "figure5": ["figure5", "--workloads", "Cholesky", "--scale",
+                    "0.002", "--landscape", str(db)],
+    }[verb]
+
+
+@pytest.mark.parametrize("verb", ["chaos", "bench", "audit", "figure5"])
 def test_newer_schema_store_exits_2(tmp_path, capsys, verb):
     """A store from a newer build is refused with a one-line message
     and exit 2, never a traceback (or audit's exit 1)."""
@@ -38,20 +53,27 @@ def test_newer_schema_store_exits_2(tmp_path, capsys, verb):
     conn = sqlite3.connect(db)
     conn.execute("PRAGMA user_version = 99")
     conn.close()
-    argv = {
-        "chaos": ["chaos", "--variants", "tokentm", "--seeds", "1",
-                  "--scale", "0.002", "--no-shrink",
-                  "--landscape", str(db)],
-        "bench": ["bench", "--quick", "--only", "membench",
-                  "--out", str(tmp_path / "b.json"),
-                  "--landscape", str(db)],
-        "audit": ["audit", str(db)],
-    }[verb]
-    assert main(argv) == 2
+    assert main(_store_verb(verb, db, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{verb}: ")
     assert "newer than this build" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["chaos", "bench", "audit", "figure5"])
+def test_store_open_elsewhere_exits_2(tmp_path, capsys, verb):
+    """A store another writer holds is refused the same way: one line,
+    exit 2, and the live writer's run is left alone."""
+    db = tmp_path / "db"
+    with LandscapeStore(db) as live:
+        live.begin_run("grid")
+        assert main(_store_verb(verb, db, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{verb}: ")
+        assert "open read-write elsewhere" in err
+        assert err.count("\n") == 1
+        run, = live.runs()
+        assert run["status"] == "open"
 
 
 class TestAudit:
@@ -92,6 +114,20 @@ class TestAudit:
         assert "healed 1 run(s)" in captured.err
         assert "ledger balanced" in captured.out
         assert main(["audit", str(db)]) == 0  # idempotent
+
+    def test_readonly_audit_of_live_store(self, tmp_path, capsys):
+        """``--readonly`` takes no writer lock, so it audits a store
+        whose writer is still running (and reports the open run)."""
+        db = tmp_path / "db"
+        with LandscapeStore(db) as live:
+            rec = live.begin_run("grid")
+            rec.close_key("cell", "k", "ok")
+            assert main(["audit", "--readonly", str(db)]) == 1
+            out = capsys.readouterr().out
+            assert "unfinished_run" in out
+            assert "double_commit" not in out
+            rec.finish("ok")
+            assert main(["audit", "--readonly", str(db)]) == 0
 
     def test_corrupt_store_quarantined_exits_2(self, tmp_path, capsys):
         db = tmp_path / "db"

@@ -254,3 +254,65 @@ def test_missing_migration_step_refused(tmp_path, monkeypatch):
                         LANDSCAPE_SCHEMA + 1)
     with pytest.raises(ConfigError, match="no migration"):
         LandscapeStore(db)
+
+
+def test_second_writer_refused_leaves_live_run_open(tmp_path):
+    """A second read-write open of a live store is refused instead of
+    healing the live writer's run out from under it: the live run
+    stays ``open``, closes normally, and the ledger balances."""
+    db = _db(tmp_path)
+    live = LandscapeStore(db)
+    rec = live.begin_run("grid")
+    work_id = rec.open("cell", "k1")
+    with pytest.raises(ConfigError, match="open read-write elsewhere"):
+        LandscapeStore(db)
+    run, = live.runs()
+    assert run["status"] == "open"
+    rec.close(work_id, "ok")
+    rec.finish("ok")
+    live.close()
+
+    with LandscapeStore(db, readonly=True) as store:
+        assert audit_store(store) == []
+        outcome, = store.outcome_rows()
+        assert (outcome["outcome"], outcome["healed"]) == ("ok", 0)
+    with LandscapeStore(db) as store:  # the lock went with close()
+        assert store.healed_runs == 0
+
+
+def test_readonly_open_takes_no_writer_lock(tmp_path):
+    db = _db(tmp_path)
+    with LandscapeStore(db) as live:
+        live.begin_run("grid").finish("ok")
+        with LandscapeStore(db, readonly=True) as reader:
+            assert audit_store(reader) == []
+    with LandscapeStore(db, readonly=True):
+        with LandscapeStore(db) as writer:
+            assert writer.healed_runs == 0
+
+
+def test_forked_child_does_not_hold_writer_lock(tmp_path):
+    """Pool workers are forked while the grid's store is open.  A
+    child that kept the lock would outlive a killed parent and block
+    heal-on-reopen; the child's copy is closed at fork instead."""
+    import os
+    import signal
+
+    db = _db(tmp_path)
+    store = LandscapeStore(db)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - child
+        os.close(read_end)
+        os.write(write_end, b"x")
+        signal.pause()
+        os._exit(0)
+    try:
+        os.close(write_end)
+        assert os.read(read_end, 1) == b"x"
+        os.close(read_end)
+        store.close()  # the "parent" is gone; its child lives on
+        LandscapeStore(db).close()
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)

@@ -8,19 +8,19 @@ import json
 
 from repro.landscape import LandscapeStore, audit_store, latest_baseline
 from repro.perf.bench import BENCH_SCHEMA, run_bench
-from repro.perf.cache import ResultCache
-from repro.perf.runner import ParallelRunner, grid_specs
+from repro.perf.runner import ParallelRunner, grid_specs, stored_cells
 
 from tests.perf.conftest import TINY_SPEC  # noqa: F401 (fixture import)
 
 
-def _grid_run(store, cache):
+def _grid_run(store):
     from repro.workloads.base import SyntheticTxnWorkload
 
     rec = store.begin_run("grid", label="test-grid")
     specs = grid_specs([SyntheticTxnWorkload(TINY_SPEC)], ("TokenTM",),
                        seeds=(1,), scale=0.5)
-    runner = ParallelRunner(workers=0, cache=cache, recorder=rec)
+    runner = ParallelRunner(workers=0, recorder=rec,
+                            finished=stored_cells(store))
     try:
         runner.run_cells(specs)
     finally:
@@ -30,7 +30,7 @@ def _grid_run(store, cache):
 
 def test_runner_records_cells_with_provenance(tmp_path):
     with LandscapeStore(tmp_path / "db") as store:
-        _grid_run(store, ResultCache(tmp_path / "cache"))
+        _grid_run(store)
         assert audit_store(store) == []
         work, = store.work_rows()
         assert work["kind"] == "cell"
@@ -44,13 +44,15 @@ def test_runner_records_cells_with_provenance(tmp_path):
         outcome, = store.outcome_rows()
         assert outcome["outcome"] == "ok"
         assert outcome["detail"] == "simulated"
+        assert json.loads(outcome["result"])["variant"] == "TokenTM"
 
-        # A warm rerun books the cache hit as its own ok outcome.
-        _grid_run(store, ResultCache(tmp_path / "cache"))
+        # A warm rerun books the served cell as its own ok outcome.
+        _grid_run(store)
         assert audit_store(store) == []
         hits = [o for o in store.outcome_rows()
-                if o["detail"] == "served from cache"]
+                if o["detail"] == "served from landscape"]
         assert len(hits) == 1
+        assert hits[0]["result"] == outcome["result"]
 
 
 def test_campaign_resume_reads_ledger(tmp_path):

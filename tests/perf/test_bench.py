@@ -15,7 +15,7 @@ from repro.perf.bench import (
     membench,
     run_bench,
 )
-from repro.perf.cache import cell_key
+from repro.perf.runner import cell_key
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,10 +37,11 @@ def test_bench_specs_traces_off():
 
 def test_run_bench_writes_schema_documented_json(tmp_path):
     out = tmp_path / "BENCH_perf.json"
+    db = tmp_path / "landscape.db"
     payload = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), only=["grid"],
+        only=["grid"], landscape=str(db),
     )
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
@@ -53,20 +54,21 @@ def test_run_bench_writes_schema_documented_json(tmp_path):
     assert cell["trace_ops"] > 0
     assert cell["wall_seconds"] > 0
     assert cell["sim_ops_per_sec"] > 0
-    assert cell["cache_hit"] is False
+    assert "cache_hit" not in cell
     assert on_disk["totals"]["trace_ops"] == cell["trace_ops"]
     assert on_disk["metrics"]["perf.simulated"]["value"] == 1
-    # Second run hits the cache: same stats content, no wall time.
+    # A second run on the same store records but never reuses: the
+    # bench times simulation, so the cell simulates again.
     rerun = run_bench(
         out=str(out), quick=True, workload_names=("Cholesky",),
         variants=("TokenTM",), scale_factor=0.5, traces=False,
-        cache_dir=str(tmp_path / "cache"), only=["grid"],
+        only=["grid"], landscape=str(db),
     )
-    warm = rerun["grid"]["cells"][0]
-    assert warm["cache_hit"] is True
-    assert warm["wall_seconds"] is None
-    assert warm["makespan"] == cell["makespan"]
-    assert rerun["metrics"]["perf.cache_hits"]["value"] == 1
+    again = rerun["grid"]["cells"][0]
+    assert again["wall_seconds"] > 0
+    assert again["makespan"] == cell["makespan"]
+    assert rerun["metrics"]["perf.simulated"]["value"] == 1
+    assert "perf.cache_hits" not in rerun["metrics"]
 
 
 def test_bench_specs_fast_path_changes_cache_key():
@@ -158,14 +160,14 @@ def test_bench_payload_has_no_wall_clock_identity(tmp_path):
         out=str(tmp_path / "b.json"), quick=True, only=["membench"],
     )
     assert "unix_time" not in payload
-    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/10"
+    assert payload["schema"] == BENCH_SCHEMA == "repro-bench-perf/11"
     # Schema /9 dropped the kernel-backend section and config key;
-    # /10 dropped the frozen-loop microbench and faultbench sections.
+    # /10 dropped the frozen-loop microbench and faultbench sections;
+    # /11 dropped ``config.cache_dir`` (the bench never reuses cells).
     assert set(payload) == {"schema", "python", "config", "grid",
                             "totals", "membench", "parallel", "metrics"}
     assert set(payload["config"]) == {"seed", "workers", "quick",
-                                      "fast_path", "cache_dir",
-                                      "scales", "traces"}
+                                      "fast_path", "scales", "traces"}
 
 
 def test_load_baseline_missing_file_is_soft(tmp_path):
@@ -234,12 +236,13 @@ def test_check_regression_compares_ratios(tmp_path):
     assert load_bench(str(path)) == base
 
 
-@pytest.mark.parametrize("schema", [8, 9])
+@pytest.mark.parametrize("schema", [8, 9, 10])
 def test_cli_baseline_against_schema8_file_warns(tmp_path, capsys, schema):
     """Older baselines still compare: exit 0 with a schema-mismatch
     warning.  /8 carries ``kernelbench``/``config.kernel``/``kernels.*``;
-    both carry the ``microbench`` section retired at /10, whose ratio
-    is ignored.  The tolerance is wide open because this checks schema
+    /8 and /9 carry the ``microbench`` section retired at /10, whose
+    ratio is ignored; /10 carries ``config.cache_dir`` and per-row
+    ``cache_hit``, retired at /11.  The tolerance is wide open because this checks schema
     handling, not speed."""
     from repro.cli import main
 

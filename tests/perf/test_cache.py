@@ -1,22 +1,53 @@
-"""Cache keys and the on-disk result store."""
+"""The landscape as the cell cache: cell keys and stored results."""
 
 from __future__ import annotations
 
 import dataclasses
-
-import pytest
+import json
+import sqlite3
 
 from repro.common.config import HTMConfig, SystemConfig
-from repro.perf.cache import CACHE_SCHEMA, ResultCache, cell_key
-from repro.perf.runner import CellSpec
+from repro.landscape import LandscapeStore, audit_store
+from repro.perf.runner import (
+    CACHE_SCHEMA,
+    CellSpec,
+    ParallelRunner,
+    cell_key,
+    decode_cell,
+    grid_specs,
+    stored_cells,
+)
 
 from tests.perf.conftest import TINY_SPEC
+
+#: Figure 5's machines plus OneTM: every result shape a grid stores.
+ALL_VARIANTS = ("LogTM-SE_2xH3", "LogTM-SE_4xH3", "LogTM-SE_Perf",
+                "TokenTM", "TokenTM_NoFast", "OneTM")
 
 
 def _spec(**overrides) -> CellSpec:
     base = dict(workload=TINY_SPEC, variant="TokenTM", seed=1, scale=0.5)
     base.update(overrides)
     return CellSpec(**base)
+
+
+def _run(store, specs, label="grid"):
+    """One recorded grid run that serves what ``store`` finished."""
+    rec = store.begin_run("grid", label=label)
+    runner = ParallelRunner(workers=0, recorder=rec,
+                            finished=stored_cells(store))
+    cells = runner.run_cells(specs)
+    rec.finish("ok")
+    return runner, cells
+
+
+def _set_result(db, key, text):
+    """Overwrite every stored result of ``key`` (a damaged row)."""
+    conn = sqlite3.connect(db)
+    conn.execute("UPDATE outcomes SET result = ? WHERE work_id IN "
+                 "(SELECT id FROM work WHERE key = ?)", (text, key))
+    conn.commit()
+    conn.close()
 
 
 def test_cell_key_is_stable():
@@ -38,196 +69,138 @@ def test_cell_key_covers_every_result_knob():
 
 def test_cell_key_folds_in_schema_version(monkeypatch):
     base = cell_key(_spec())
-    monkeypatch.setattr("repro.perf.cache.CACHE_SCHEMA", CACHE_SCHEMA + 1)
+    monkeypatch.setattr("repro.perf.runner.CACHE_SCHEMA", CACHE_SCHEMA + 1)
     assert cell_key(_spec()) != base
 
 
 def test_cache_roundtrip(tmp_path):
-    cache = ResultCache(tmp_path)
-    key = cell_key(_spec())
-    assert cache.get(key) is None
-    assert key not in cache
-    cache.put(key, {"makespan": 123}, sidecar=_spec().payload())
-    assert key in cache
-    assert len(cache) == 1
-    assert cache.get(key) == {"makespan": 123}
-    # The sidecar is human-readable JSON next to the entry.
-    sidecars = list(tmp_path.glob("*/*.json"))
-    assert len(sidecars) == 1
-    assert '"variant": "TokenTM"' in sidecars[0].read_text()
+    """Every variant's cell comes back from its stored JSON exactly
+    (dataclass equality, so every stats field and ``machine`` count),
+    and the served cells equal the simulated ones."""
+    specs = [_spec(variant=v) for v in ALL_VARIANTS]
+    with LandscapeStore(tmp_path / "db") as store:
+        _, cold = _run(store, specs)
+        stored = stored_cells(store)
+        runner, warm = _run(store, specs)
+        assert audit_store(store) == []
+    assert [stored[cell_key(s)] for s in specs] == cold
+    assert warm == cold
+    assert runner.metrics.counter("perf.simulated").value == 0
+    for cell in cold:
+        assert all(type(v) is int for v in cell.stats.machine.values())
+        text = json.dumps(dataclasses.asdict(cell))
+        assert decode_cell(text) == cell
 
 
 def test_cache_truncated_entry_reads_as_miss(tmp_path):
-    cache = ResultCache(tmp_path)
-    key = cell_key(_spec())
-    cache.put(key, {"ok": True})
-    path = tmp_path / key[:2] / f"{key}.pkl"
-    path.write_bytes(b"")
-    assert cache.get(key) is None
-
-
-def test_cache_truncated_pickle_quarantined(tmp_path):
-    """A mid-stream truncation (disk-full torn copy) is quarantined:
-    the bad bytes move to ``<key>.pkl.corrupt``, the slot frees up,
-    and the corruption is counted."""
-    from repro.obs.metrics import MetricsRegistry
-
-    cache = ResultCache(tmp_path, metrics=MetricsRegistry())
-    key = cell_key(_spec())
-    cache.put(key, {"makespan": 123}, sidecar=_spec().payload())
-    path = tmp_path / key[:2] / f"{key}.pkl"
-    whole = path.read_bytes()
-    path.write_bytes(whole[: len(whole) // 2])
-
-    assert cache.get(key) is None
-    assert cache.quarantined == 1
-    assert cache.metrics.counter("perf.cache_corrupt").value == 1
-    corrupt = path.parent / f"{key}.pkl.corrupt"
-    assert corrupt.exists(), "bad bytes must survive for autopsy"
-    assert not path.exists()
-    assert key not in cache and len(cache) == 0
-
-    # The freed slot accepts the re-simulated result.
-    cache.put(key, {"makespan": 123}, sidecar=_spec().payload())
-    assert cache.get(key) == {"makespan": 123}
-
-
-class _Relic:
-    """Stand-in for a class whose layout predates a refactor."""
+    db = tmp_path / "db"
+    spec = _spec()
+    with LandscapeStore(db) as store:
+        _run(store, [spec])
+        (good,) = store.query("SELECT result FROM outcomes")
+    key = cell_key(spec)
+    _set_result(db, key, good["result"][: len(good["result"]) // 2])
+    with LandscapeStore(db) as store:
+        assert stored_cells(store) == {key: None}
 
 
 def test_cache_stale_class_layout_reads_as_miss(tmp_path):
-    """An entry pickled against a class that no longer exists raises
-    ``AttributeError`` on load — treated as a miss and quarantined,
-    never fatal."""
-    import pickle
-
-    cache = ResultCache(tmp_path)
-    key = cell_key(_spec())
-    path = tmp_path / key[:2] / f"{key}.pkl"
-    path.parent.mkdir(parents=True)
-    # Pickle a real class by reference, then rename the reference to
-    # one this module never defined: exactly what an entry written by
-    # an older build looks like after the class moved.
-    blob = pickle.dumps(_Relic()).replace(b"_Relic", b"_Ghost")
-    path.write_bytes(blob)
-    with pytest.raises(AttributeError):
-        pickle.loads(blob)  # the failure mode under test
-    assert cache.get(key) is None
-    assert cache.quarantined == 1
-    assert (path.parent / f"{key}.pkl.corrupt").exists()
-
-
-def test_concurrent_readers_quarantine_once(tmp_path):
-    """Two readers sharing one cache root race onto the same corrupt
-    entry: both read it as a miss, exactly one ``.pkl.corrupt``
-    sidecar survives, and every detection is counted.
-
-    Ordering A (sequential): the second reader arrives after the
-    first already moved the entry aside — it sees a plain
-    FileNotFoundError miss and quarantines nothing."""
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    a = ResultCache(tmp_path, metrics=registry)
-    b = ResultCache(tmp_path, metrics=registry)
-    key = cell_key(_spec())
-    a.put(key, {"makespan": 1})
-    path = tmp_path / key[:2] / f"{key}.pkl"
-    path.write_bytes(b"not a pickle")
-
-    assert a.get(key) is None
-    assert b.get(key) is None
-    assert a.quarantined == 1 and b.quarantined == 0
-    assert registry.counter("perf.cache_corrupt").value == 1
-    corrupt = list(tmp_path.glob("*/*.pkl.corrupt"))
-    assert len(corrupt) == 1
-    assert not path.exists()
-
-
-def test_concurrent_readers_quarantine_race_is_harmless(tmp_path):
-    """Ordering B (simultaneous): both readers opened the corrupt
-    bytes before either moved them, so both detect corruption and
-    both attempt the ``os.replace`` — the loser's rename fails
-    silently.  Still exactly one ``.pkl.corrupt``, no crash, and the
-    shared counter records both detections."""
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    a = ResultCache(tmp_path, metrics=registry)
-    b = ResultCache(tmp_path, metrics=registry)
-    key = cell_key(_spec())
-    a.put(key, {"makespan": 1})
-    path = tmp_path / key[:2] / f"{key}.pkl"
-    path.write_bytes(b"not a pickle")
-
-    # Deterministic replay of the interleaving: reader A detects and
-    # quarantines first; reader B, which had already read the same
-    # bad bytes, then runs its own quarantine against the now-moved
-    # path.
-    assert a.get(key) is None
-    b._quarantine(path)
-    assert b.get(key) is None  # the slot now reads as a plain miss
-
-    assert a.quarantined == 1 and b.quarantined == 1
-    assert registry.counter("perf.cache_corrupt").value == 2
-    corrupt = list(tmp_path.glob("*/*.pkl.corrupt"))
-    assert len(corrupt) == 1, "the loser's rename must not duplicate"
-    assert corrupt[0].read_bytes() == b"not a pickle"
-
-    # Either reader's re-simulated put reclaims the slot cleanly.
-    b.put(key, {"makespan": 2})
-    assert a.get(key) == {"makespan": 2}
+    """A result written under another stats layout — a field renamed,
+    or one this build added and the row lacks — is a miss, never a
+    cell with that field silently defaulted."""
+    db = tmp_path / "db"
+    spec = _spec()
+    with LandscapeStore(db) as store:
+        _, (cell,) = _run(store, [spec])
+    key = cell_key(spec)
+    renamed = dataclasses.asdict(cell)
+    renamed["stats"]["span"] = renamed["stats"].pop("makespan")
+    missing = dataclasses.asdict(cell)
+    del missing["stats"]["fast"]["count"]
+    for stale in (renamed, missing):
+        _set_result(db, key, json.dumps(stale))
+        with LandscapeStore(db) as store:
+            assert stored_cells(store) == {key: None}
 
 
 def test_cache_quarantine_reports_to_landscape_recorder(tmp_path):
-    """A cache wired with a landscape recorder reports each
-    quarantine as a non-terminal ``cache_quarantine`` event."""
-    events = []
-
-    class _Recorder:
-        def event(self, kind, detail, key=None):
-            events.append((kind, detail))
-
-    cache = ResultCache(tmp_path, recorder=_Recorder())
-    key = cell_key(_spec())
-    cache.put(key, {"makespan": 1})
-    path = tmp_path / key[:2] / f"{key}.pkl"
-    path.write_bytes(b"garbage")
-    assert cache.get(key) is None
-    assert events == [
-        ("cache_quarantine",
-         f"unreadable entry moved to {key}.pkl.corrupt")]
+    """An undecodable stored result is counted in
+    ``perf.cache_corrupt`` and recorded as a non-terminal
+    ``cache_quarantine`` event on the cell's own work row."""
+    spec = _spec()
+    key = cell_key(spec)
+    with LandscapeStore(tmp_path / "db") as store:
+        rec = store.begin_run("grid")
+        runner = ParallelRunner(workers=0, recorder=rec,
+                                finished={key: None})
+        runner.run_cells([spec])
+        rec.finish("ok")
+        (event,) = [e for e in store.events_for(rec.run_id)
+                    if e["kind"] == "cache_quarantine"]
+        (work,) = store.work_rows(rec.run_id)
+        assert event["work_id"] == work["id"]
+        assert audit_store(store) == []
+    assert runner.metrics.counter("perf.cache_corrupt").value == 1
+    assert runner.metrics.counter("perf.simulated").value == 1
 
 
 def test_runner_resimulates_quarantined_cell(tmp_path, tiny_workload):
-    """End to end: a corrupted entry under a runner re-simulates,
-    yields the same result, and publishes perf.cache_corrupt."""
-    from repro.perf.runner import ParallelRunner, grid_specs
-
+    """End to end: a corrupted stored result re-simulates, yields the
+    same cell, and its fresh ``ok`` row serves the next run."""
+    db = tmp_path / "db"
     specs = grid_specs([tiny_workload], ("TokenTM",), seeds=(1,),
                        scale=0.5)
-    cold = ParallelRunner(workers=0,
-                          cache=ResultCache(tmp_path)).run_cells(specs)
-    key = cell_key(specs[0])
-    (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"corrupt")
+    with LandscapeStore(db) as store:
+        _, cold = _run(store, specs)
+    _set_result(db, cell_key(specs[0]), "corrupt")
 
-    runner = ParallelRunner(workers=0, cache=ResultCache(tmp_path))
-    warm = runner.run_cells(specs)
-    assert warm[0].stats.snapshot() == cold[0].stats.snapshot()
-    assert runner.metrics.counter("perf.cache_corrupt").value == 1
-    assert runner.metrics.counter("perf.simulated").value == 1
-    # And the repaired entry serves the next run as a plain hit.
-    again = ParallelRunner(workers=0, cache=ResultCache(tmp_path))
-    again.run_cells(specs)
-    assert again.metrics.counter("perf.cache_hits").value == 1
+    with LandscapeStore(db) as store:
+        runner, warm = _run(store, specs)
+        assert warm == cold
+        assert runner.metrics.counter("perf.cache_corrupt").value == 1
+        assert runner.metrics.counter("perf.simulated").value == 1
+        again, _ = _run(store, specs)
+        assert again.metrics.counter("perf.cache_hits").value == 1
+        assert again.metrics.counter("perf.cache_corrupt").value == 0
+        assert audit_store(store) == []
 
 
-def test_cache_clear(tmp_path):
-    cache = ResultCache(tmp_path)
-    for seed in range(3):
-        cache.put(cell_key(_spec(seed=seed)), seed, sidecar={"seed": seed})
-    assert len(cache) == 3
-    assert cache.clear() == 3
-    assert len(cache) == 0
-    assert not list(tmp_path.glob("*/*.json"))
+def test_failed_interrupted_and_healed_cells_rerun(tmp_path):
+    """Only ``ok`` closes carry a result: a failed cell, a cell still
+    open when its run finished, and a cell healed after its writer
+    died are all absent from the finished map, so they re-simulate."""
+    db = tmp_path / "db"
+    failed, interrupted, healed = (_spec(seed=s) for s in (1, 2, 3))
+    with LandscapeStore(db) as store:
+        rec = store.begin_run("grid")
+        rec.close_key("cell", cell_key(failed), "failed",
+                      detail="raised")
+        rec.open("cell", cell_key(interrupted))
+        rec.finish("interrupted")
+        store.begin_run("grid").open("cell", cell_key(healed))
+    with LandscapeStore(db) as store:
+        assert store.healed_runs == 1
+        assert stored_cells(store) == {}
+        runner, _ = _run(store, [failed, interrupted, healed])
+        assert runner.metrics.counter("perf.simulated").value == 3
+        assert audit_store(store) == []
+
+
+def test_second_run_on_same_store_simulates_nothing(tmp_path,
+                                                    tiny_workload):
+    specs = grid_specs([tiny_workload], ("TokenTM", "LogTM-SE_Perf"),
+                       seeds=(1, 2), scale=0.5)
+    with LandscapeStore(tmp_path / "db") as store:
+        first, cold = _run(store, specs)
+        second, warm = _run(store, specs)
+        served = [o for o in store.outcome_rows()
+                  if o["detail"] == "served from landscape"]
+    assert first.metrics.counter("perf.simulated").value == len(specs)
+    assert second.metrics.counter("perf.simulated").value == 0
+    assert second.metrics.counter("perf.cache_hits").value == len(specs)
+    assert second.last_wall_seconds == [None] * len(specs)
+    assert warm == cold
+    # Served cells are booked with their result too, so every run's
+    # rows hold its whole grid.
+    assert len(served) == len(specs)
+    assert all(o["result"] is not None for o in served)

@@ -1,4 +1,4 @@
-"""The parallel grid engine's determinism and caching contracts."""
+"""The parallel grid engine's determinism and stored-cell contracts."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import pytest
 
 import repro.perf.runner as runner_mod
 from repro.analysis.experiments import figure_speedups, run_cell, run_variants
-from repro.perf.cache import ResultCache
-from repro.perf.runner import CellSpec, ParallelRunner, grid_specs
+from repro.landscape import LandscapeStore
+from repro.perf.runner import (CellSpec, ParallelRunner, grid_specs,
+                               stored_cells)
 
 from tests.perf.conftest import TINY_SPEC
 
@@ -49,6 +50,8 @@ def test_parallel_runner_identical_to_serial(tiny_workload):
 
 
 def test_cache_hit_skips_simulation(tiny_workload, tmp_path, monkeypatch):
+    """Cells the landscape store already finished are served, not
+    simulated, by a runner given the store's finished map."""
     simulated = []
     real = runner_mod._simulate
 
@@ -58,14 +61,19 @@ def test_cache_hit_skips_simulation(tiny_workload, tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "_simulate", spy)
     specs = _specs(tiny_workload, seeds=(1,))
-    first = ParallelRunner(workers=0, cache=ResultCache(tmp_path))
-    cold = first.run_cells(specs)
-    assert len(simulated) == len(specs)
-    assert first.metrics.counter("perf.cache_misses").value == len(specs)
+    with LandscapeStore(tmp_path / "db") as store:
+        rec = store.begin_run("grid")
+        first = ParallelRunner(workers=0, recorder=rec,
+                               finished=stored_cells(store))
+        cold = first.run_cells(specs)
+        rec.finish("ok")
+        assert len(simulated) == len(specs)
+        assert first.metrics.counter("perf.cache_misses").value == \
+            len(specs)
 
-    second = ParallelRunner(workers=0, cache=ResultCache(tmp_path))
-    warm = second.run_cells(specs)
-    assert len(simulated) == len(specs), "cache hit must not re-simulate"
+        second = ParallelRunner(workers=0, finished=stored_cells(store))
+        warm = second.run_cells(specs)
+    assert len(simulated) == len(specs), "a stored cell must not re-simulate"
     assert second.metrics.counter("perf.cache_hits").value == len(specs)
     assert second.metrics.counter("perf.simulated").value == 0
     assert second.last_wall_seconds == [None] * len(specs)

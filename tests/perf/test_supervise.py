@@ -299,10 +299,13 @@ class TestPooledSupervision:
     def test_crash_hang_and_corrupt_cache_in_one_grid(
             self, tiny_workload, marker_dir, tmp_path):
         """The acceptance grid: a killed worker, a hung cell, a
-        permanently failing cell, and a corrupt cache entry — under
+        permanently failing cell, and a corrupt stored result — under
         ``continue`` the grid completes, the report names exactly the
         failed cell, and every survivor matches a clean serial run."""
-        from repro.perf.cache import ResultCache, cell_key
+        import sqlite3
+
+        from repro.landscape import LandscapeStore
+        from repro.perf.runner import stored_cells
 
         specs = grid_specs([tiny_workload], ("TokenTM",),
                            seeds=(1, 2, 3, 4), scale=SCALE)
@@ -311,18 +314,22 @@ class TestPooledSupervision:
             if spec.seed != 3:
                 clean[i] = ParallelRunner(workers=0).run_cells([spec])[0]
 
-        cache_dir = tmp_path / "cache"
-        warm = ResultCache(cache_dir)
-        key4 = cell_key(specs[3])
-        warm.put(key4, clean[3], sidecar=specs[3].payload())
-        entry = cache_dir / key4[:2] / f"{key4}.pkl"
-        entry.write_bytes(entry.read_bytes()[:10])  # corrupt it
+        db = tmp_path / "db"
+        with LandscapeStore(db) as store:
+            rec = store.begin_run("grid")
+            ParallelRunner(workers=0, recorder=rec).run_cells([specs[3]])
+            rec.finish("ok")
+        conn = sqlite3.connect(db)
+        conn.execute("UPDATE outcomes SET result = substr(result, 1, 10)")
+        conn.commit()  # corrupt it
+        conn.close()
 
         sup = SupervisorConfig(timeout=2.0, retries=1,
                                backoff_base=0.001, backoff_max=0.002,
                                failure_policy=CONTINUE)
-        with ParallelRunner(workers=2, supervisor=sup,
-                            cache=ResultCache(cache_dir),
+        with LandscapeStore(db) as store:
+            finished = stored_cells(store)
+        with ParallelRunner(workers=2, supervisor=sup, finished=finished,
                             simulate=_mixed_fates) as runner:
             with pytest.raises(IncompleteGridError) as exc:
                 runner.run_cells(specs)

@@ -1,4 +1,4 @@
-"""Trace-workload identity: digests, cache keys, grid integration."""
+"""Trace-workload identity: digests, cell keys, grid integration."""
 
 import dataclasses
 
@@ -7,8 +7,8 @@ import pytest
 from repro.common.errors import TraceError
 from repro.faults.campaign import campaign_cell_key, run_chaos_cell
 from repro.faults.plan import FaultPlan
-from repro.perf.cache import ResultCache, cell_key
-from repro.perf.runner import CellSpec, ParallelRunner
+from repro.landscape import LandscapeStore
+from repro.perf.runner import CellSpec, ParallelRunner, cell_key, stored_cells
 from repro.traces.convert import ConvertOptions
 from repro.traces.workload import (
     TraceWorkload,
@@ -84,14 +84,37 @@ class TestCacheIdentity:
         assert a != b
 
     def test_runner_caches_trace_cells(self, tmp_path, trace_file):
-        spec = self._spec(trace_file)
-        cache = ResultCache(tmp_path / "cache")
-        with ParallelRunner(workers=0, cache=cache) as runner:
-            cold, = runner.run_cells([spec])
-            warm, = runner.run_cells([spec])
-            snap = runner.metrics.snapshot()
-        assert snap["perf.cache_hits"]["value"] == 1
+        """Editing a trace in place invalidates exactly its stored
+        cells: the edited trace re-simulates, the untouched one is
+        served from the landscape."""
+        other = tmp_path / "other.strace"
+        other.write_text(EVENTS)
+        db = tmp_path / "db"
+
+        def run():
+            specs = [self._spec(trace_file), self._spec(other)]
+            with LandscapeStore(db) as store:
+                rec = store.begin_run("grid")
+                with ParallelRunner(workers=0, recorder=rec,
+                                    finished=stored_cells(store)) as runner:
+                    cells = runner.run_cells(specs)
+                rec.finish("ok")
+            return cells, runner.metrics
+
+        def count(metrics, name):
+            return metrics.counter(f"perf.{name}").value
+
+        (cold, _), first = run()
+        assert count(first, "simulated") == 2
+        (warm, _), second = run()
+        assert count(second, "cache_hits") == 2
+        assert count(second, "simulated") == 0
         assert cold.stats.snapshot() == warm.stats.snapshot()
+
+        trace_file.write_text(EVENTS + "3,0,1,0,0,0\n")
+        _, third = run()
+        assert count(third, "simulated") == 1
+        assert count(third, "cache_hits") == 1
 
 
 class TestFixtures:
